@@ -4,7 +4,7 @@ One executable, ``ppcforge``, with batch subcommands: construct designs
 with a prescribed maximum PPC, solve/verify design files, print bound
 tables, search and check sequencings, emit Room squares, and run the
 brute-force oracles.  Exit codes: 0 success, 1 usage or I/O problem,
-2 verification failure, 3 search budget exhausted.
+2 verification failure, 3 a search ran out of its node limit.
 
 Machine-readable output (design files, ``--format rows`` tables, square and
 sequencing files) is deterministic for fixed flags; wall-clock timings go
@@ -19,8 +19,8 @@ from typing import List, Optional
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .core import Design, ParseError, ToolkitError, deserialize, read_ppc_comments, serialize
-from .onefactor import BudgetExhausted, room_square, room_to_text, validate_room
+from .core import Design, Exhausted, ToolkitError, deserialize, read_ppc_comments, serialize
+from .onefactor import room_square, room_to_text, validate_room
 from .oracle import brute_beta
 from .ppc import solve_max_ppc
 from .sequence import (
@@ -61,14 +61,11 @@ def _load_design(path: str) -> Design:
 
 
 _VARIANTS = ("pure", "packed", "trimmed")
-_LEGACY_VARIANT = {"3": "pure", "4": "packed", "5": "trimmed"}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     rho, v = args.rho, args.v
     variant = args.variant
-    if args.force_thm:
-        variant = _LEGACY_VARIANT[args.force_thm]
     if variant is None:
         variant = "packed" if (v - rho) % 2 == 0 else "trimmed"
     if variant == "trimmed":
@@ -241,12 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pure: factors only; packed: plus apex packing (default for even "
         "v-rho); trimmed: packed then one point deleted (default for odd v-rho)",
     )
-    p.add_argument(
-        "--force-thm",
-        choices=tuple(_LEGACY_VARIANT),
-        default=None,
-        help="numeric alias for --variant: 3=pure, 4=packed, 5=trimmed",
-    )
     p.add_argument("--out", default=None)
     p.add_argument("--budget", type=int, default=budget)
     p.set_defaults(func=_cmd_construct)
@@ -313,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if code == 2 else code
     try:
         return args.func(args)
-    except BudgetExhausted as exc:
+    except Exhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except (ToolkitError, OSError) as exc:

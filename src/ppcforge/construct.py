@@ -24,14 +24,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import packing_number
-from .core import Block, Design, OutOfRange, ToolkitError, validate
+from .core import Block, Budget, Design, OutOfRange, ToolkitError, validate
 from .onefactor import FactorSelection, select_factors
 
 Vec = Tuple[int, int]
 
 
 class PackingShortfall(ToolkitError):
-    """Could not produce a packing with D(rho) blocks."""
+    """No packing with D(rho) blocks: rho is above the search cap, the
+    target exceeds the pair supply, or a complete search found none."""
 
 
 class BadResidue(ToolkitError):
@@ -178,6 +179,7 @@ def _packing_search(n: int, target: int, node_budget: int) -> List[Block]:
     Branches on the lowest pair not yet covered and not yet written off:
     either some triple through it joins the packing, or the pair is left
     uncovered, spending one unit of the leave budget C(n,2) - 3*target.
+    Raises ``Exhausted`` past ``node_budget`` nodes.
     """
     pair_idx = {}
     k = 0
@@ -190,7 +192,7 @@ def _packing_search(n: int, target: int, node_budget: int) -> List[Block]:
     if leave_budget < 0:
         raise PackingShortfall(f"target {target} exceeds the pair supply on {n} points")
     chosen: List[Block] = []
-    state = {"nodes": 0}
+    counter = Budget(node_budget, f"packing search for {target} triples on {n} points")
 
     def pi(a: int, b: int) -> int:
         return pair_idx[(a, b) if a < b else (b, a)]
@@ -198,11 +200,7 @@ def _packing_search(n: int, target: int, node_budget: int) -> List[Block]:
     def rec(assigned: int, leaves: int) -> bool:
         if len(chosen) == target:
             return True
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise PackingShortfall(
-                f"packing search for {target} triples on {n} points ran out of nodes"
-            )
+        counter.tick()
         idx = 0
         first = None
         for a in range(n):

@@ -4,7 +4,7 @@ A partial Steiner triple system PSTS(v) is a set of 3-element blocks drawn
 from a point set of size v such that every pair of points lies in at most one
 block.  When every pair lies in exactly one block the system is a full
 STS(v).  This module holds the value type, structural validation, degree
-profiles, and a plain-text interchange format.
+profiles, a plain-text interchange format, and the search node budget.
 
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
@@ -45,6 +45,28 @@ class PairViolation(ToolkitError):
 
 class ParseError(ToolkitError):
     """Malformed design, square, or sequencing text."""
+
+
+class Exhausted(ToolkitError):
+    """A search used up its node limit before it could answer."""
+
+
+class Budget:
+    """Node counter of one search: ``tick`` raises ``Exhausted`` on the
+    first node past ``limit``.  A search that reports a best-so-far catches
+    it once, at its top."""
+
+    __slots__ = ("limit", "what", "nodes")
+
+    def __init__(self, limit: int, what: str):
+        self.limit = limit
+        self.what = what
+        self.nodes = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise Exhausted(f"{self.what} ran out of its {self.limit} nodes")
 
 
 @dataclass(frozen=True)

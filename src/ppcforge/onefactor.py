@@ -11,8 +11,9 @@ none exist for sides 3 and 5.
 Squares are produced by a starter-adder construction over the cyclic group
 Z_n whenever an exhaustive search finds a strong starter (all odd n >= 7
 except 9), and otherwise by a standardized-diagonal backtracking fill of the
-grid.  Side 7 has a stored reference square, used when generation is
-disabled; the default search reproduces it cell for cell.
+grid.  Both searches count nodes against fixed limits and raise
+``Exhausted`` past them, so the square depends only on the side.  Side 7
+has a stored reference square, which the search reproduces cell for cell.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
@@ -23,16 +24,21 @@ one-factor, which makes the representatives independent).  There is no such
 selection for (ell, rho) = (4, 2): K_4 has no two disjoint one-factors.
 """
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .core import ParseError, ToolkitError
+from .core import Budget, ParseError, ToolkitError
 
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
+
+# Node limits of the construction searches; sides up to 51 find a strong
+# starter within STARTER_NODES.
+STARTER_NODES = 2_000_000
+FILL_NODES = 50_000_000
+REPS_NODES = 1_000_000
 
 
 class OddOrder(ToolkitError):
@@ -44,7 +50,7 @@ class BadSide(ToolkitError):
 
 
 class Unconstructible(ToolkitError):
-    """Generation gave up within its budget (not a nonexistence claim)."""
+    """A search ran to completion without finding what it was to build."""
 
 
 class RoomValidationError(ToolkitError):
@@ -69,10 +75,6 @@ class ColNotOneFactor(RoomValidationError):
 
 class Infeasible(ToolkitError):
     """The requested factor selection cannot exist."""
-
-
-class BudgetExhausted(ToolkitError):
-    """A search ran out of nodes before finding a selection."""
 
 
 @dataclass(frozen=True)
@@ -127,27 +129,26 @@ def round_robin(ell: int) -> OneFactorization:
     return OneFactorization(ell, tuple(factors))
 
 
-def strong_starter(n: int, time_budget: float = 10.0) -> Optional[List[Edge]]:
+def strong_starter(n: int) -> Optional[List[Edge]]:
     """Exhaustively search Z_n for a strong starter.
 
     A starter is a set of (n-1)/2 pairs partitioning 1..n-1 whose
     differences cover every nonzero difference class exactly once; it is
     strong when the pair sums are distinct and nonzero (the negated sums then
     serve as the adder).  Deterministic order: the smallest unused element is
-    paired with candidate partners in descending order.  Returns None when
-    the search space is exhausted (as happens for n = 9) or the time budget
-    runs out.
+    paired with candidate partners in descending order.  Returns None only
+    when the whole space was searched (as happens for n = 9); raises
+    ``Exhausted`` past ``STARTER_NODES`` nodes.
     """
     half = (n - 1) // 2
     used = [False] * n
     class_used = [False] * (half + 1)
     sum_used = [False] * n
     out: List[Edge] = []
-    deadline = time.monotonic() + time_budget
+    counter = Budget(STARTER_NODES, f"strong starter search for Z_{n}")
 
     def rec() -> bool:
-        if time.monotonic() > deadline:
-            return False
+        counter.tick()
         x = next((e for e in range(1, n) if not used[e]), None)
         if x is None:
             return True
@@ -190,16 +191,15 @@ def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
     return RoomSquare(n, tuple(tuple(row) for row in grid))
 
 
-def _room_by_backtracking(
-    n: int, node_budget: int = 50_000_000, time_budget: float = 120.0
-) -> RoomSquare:
+def _room_by_backtracking(n: int) -> RoomSquare:
     """Fill a standardized grid: diagonal cell (i,i) holds {i, n}, rows are
     completed top to bottom, always extending the lowest missing symbol.
 
     Standardizing the diagonal loses no generality (any Room square can be
     carried to that form by simultaneous row/column permutation), and it
     leaves the 36-edge fill of K_n over the off-diagonal cells, which prunes
-    well: a column may take at most one edge per remaining row.
+    well: a column may take at most one edge per remaining row.  Raises
+    ``Exhausted`` past ``FILL_NODES`` nodes.
     """
     inf = n
     quota = (n - 1) // 2
@@ -210,8 +210,7 @@ def _room_by_backtracking(
     col_cnt = [0] * n
     edge_used = set()
     full = (1 << n) - 1
-    state = {"nodes": 0}
-    deadline = time.monotonic() + time_budget
+    counter = Budget(FILL_NODES, f"grid fill for side {n}")
 
     def fill(i: int, missing: int) -> bool:
         if missing == 0:
@@ -223,11 +222,7 @@ def _room_by_backtracking(
             if nxt == n:
                 return True
             return fill(nxt, full & ~(1 << nxt))
-        state["nodes"] += 1
-        if state["nodes"] > node_budget or time.monotonic() > deadline:
-            raise Unconstructible(
-                f"grid fill for side {n} exhausted its budget"
-            )
+        counter.tick()
         s = (missing & -missing).bit_length() - 1
         need = bin(missing).count("1") // 2
         avail = sum(
@@ -287,20 +282,15 @@ def side7_fixture() -> RoomSquare:
 
 
 @lru_cache(maxsize=None)
-def room_square(side: int, generate: bool = True) -> RoomSquare:
+def room_square(side: int) -> RoomSquare:
     """Build a Room square of the given side.
 
     Sides must be odd and at least 7 (there is no Room square of side 3 or
-    5, and side 1 is trivial and unused here).  With ``generate=False`` the
-    stored side-7 square is returned and other sides fail; the default
-    search path yields the identical square for side 7.
+    5, and side 1 is trivial and unused here).  The grid fill runs only
+    when no strong starter of Z_side exists.
     """
     if side % 2 == 0 or side < 7:
         raise BadSide(f"Room squares need an odd side >= 7, got {side}")
-    if not generate:
-        if side == 7:
-            return side7_fixture()
-        raise Unconstructible(f"no stored square for side {side}")
     starter = strong_starter(side)
     if starter is not None:
         square = _square_from_starter(side, starter)
@@ -398,19 +388,16 @@ _ELL6_FACTORS: Tuple[Factor, ...] = (
 _ELL6_REPS: Tuple[Edge, ...] = ((0, 3), (4, 5), (1, 2))
 
 
-def _independent_reps(
-    factors: Tuple[Factor, ...], node_budget: int
-) -> Optional[List[Edge]]:
-    """Backtracking search for pairwise vertex-disjoint representatives."""
+def _independent_reps(factors: Tuple[Factor, ...]) -> Optional[List[Edge]]:
+    """Backtracking search for pairwise vertex-disjoint representatives;
+    raises ``Exhausted`` past ``REPS_NODES`` nodes."""
     reps: List[Edge] = []
-    state = {"nodes": 0}
+    counter = Budget(REPS_NODES, "representative search")
 
     def rec(i: int, used: int) -> bool:
         if i == len(factors):
             return True
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            raise BudgetExhausted("representative search ran out of nodes")
+        counter.tick()
         for a, b in factors[i]:
             bits = (1 << a) | (1 << b)
             if used & bits:
@@ -462,15 +449,15 @@ def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelectio
     if strategy == "roundrobin":
         all_factors = round_robin(ell).factors
         first_try = all_factors[:rho]
-        reps = _independent_reps(first_try, node_budget=1_000_000)
+        reps = _independent_reps(first_try)
         if reps is not None:
             return FactorSelection(ell, first_try, tuple(reps))
         for subset in combinations(range(len(all_factors)), rho):
             chosen = tuple(all_factors[i] for i in subset)
-            reps = _independent_reps(chosen, node_budget=1_000_000)
+            reps = _independent_reps(chosen)
             if reps is not None:
                 return FactorSelection(ell, chosen, tuple(reps))
-        raise BudgetExhausted(
+        raise Unconstructible(
             f"no independent representatives found in round-robin factors "
             f"for ell={ell}, rho={rho}"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .core import Block, Design, ToolkitError
+from .core import Block, Budget, Design, Exhausted, ToolkitError
 
 
 class TooLarge(ToolkitError):
@@ -92,7 +92,7 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
         a, b, c = t
         return [(a, b), (a, c), (b, c)]
 
-    state = {"nodes": 0, "complete": True}
+    counter = Budget(budget, "beta search")
     best_value = 0
     best_witness: Tuple[Block, ...] = ()
     anchor = (0, 1, 2)
@@ -110,10 +110,7 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
 
     def rec(start_idx: int, cur_max: int) -> None:
         nonlocal best_value, best_witness
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["complete"] = False
-            return
+        counter.tick()
         if cur_max == rho and len(cur) > best_value:
             best_value = len(cur)
             best_witness = tuple(cur)
@@ -140,14 +137,15 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
                 used_pairs.discard(p)
             cur_masks.pop()
             cur.pop()
-            if not state["complete"]:
-                return
 
     anchor_idx = triples.index(anchor)
     cur.append(anchor)
     cur_masks.append(tri_mask[anchor])
     for p in pairs(anchor):
         used_pairs.add(p)
-    rec(anchor_idx + 1, 1)
-
-    return BetaResult(best_value, best_witness, state["nodes"], state["complete"])
+    complete = True
+    try:
+        rec(anchor_idx + 1, 1)
+    except Exhausted:
+        complete = False
+    return BetaResult(best_value, best_witness, counter.nodes, complete)

@@ -13,7 +13,7 @@ after all.
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .core import Block, Design, ToolkitError
+from .core import Block, Budget, Design, Exhausted, ToolkitError
 
 
 class NotMaximum(ToolkitError):
@@ -70,15 +70,12 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     best = greedy_ppc(design)
     best_size = len(best)
     full = (1 << v) - 1
-    state = {"nodes": 0, "hit": False}
+    counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
 
     def rec(forbidden: int) -> None:
         nonlocal best, best_size
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["hit"] = True
-            return
+        counter.tick()
         free = full & ~forbidden
         # walk past points with no usable block left
         x = None
@@ -103,18 +100,20 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
             chosen.append(i)
             rec(forbidden | masks[i])
             chosen.pop()
-            if state["hit"]:
-                return
         # skipping x forbids every block through it
         rec(forbidden | (1 << x))
 
+    optimal = True
     if blocks:
-        rec(0)
+        try:
+            rec(0)
+        except Exhausted:
+            optimal = False
     return PpcResult(
         size=best_size,
         witness=tuple(sorted(best)),
-        optimal=not state["hit"],
-        nodes=state["nodes"],
+        optimal=optimal,
+        nodes=counter.nodes,
     )
 
 

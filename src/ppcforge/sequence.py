@@ -13,7 +13,7 @@ which a sequencing must exist.
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Design, ToolkitError
+from .core import Budget, Design, Exhausted, ToolkitError
 
 
 class NotPermutation(ToolkitError):
@@ -109,18 +109,13 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
     """
     v = design.v
     oracle = _WindowOracle(design)
-    state = {"nodes": 0, "exhausted": True}
+    counter = Budget(budget, "sequencing search")
     prefix: List[int] = []
-    found: List[Tuple[int, ...]] = []
 
     def extend(used: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exhausted"] = False
-            return False
+        counter.tick()
         depth = len(prefix)
         if depth == v:
-            found.append(tuple(prefix))
             return True
         for p in range(v):
             bit = 1 << p
@@ -143,11 +138,15 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
             prefix.pop()
         return False
 
-    if extend(0):
-        seq = check_sequencing(design, found[0])
-        assert seq.valid
-        return SearchOutcome(seq, False, state["nodes"])
-    return SearchOutcome(None, state["exhausted"], state["nodes"])
+    try:
+        found = extend(0)
+    except Exhausted:
+        return SearchOutcome(None, False, counter.nodes)
+    if not found:
+        return SearchOutcome(None, True, counter.nodes)
+    seq = check_sequencing(design, prefix)
+    assert seq.valid
+    return SearchOutcome(seq, False, counter.nodes)
 
 
 def sufficient_conditions(design: Design, rho: int) -> set:

@@ -36,16 +36,6 @@ def test_construct_stdout_is_the_design(capsys):
     assert "maximum PPC = 2 verified" in stderr
 
 
-def test_numeric_variant_alias(tmp_path, capsys):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    assert run(capsys, "construct", "--rho", "3", "--v", "11",
-               "--variant", "packed", "--out", str(a))[0] == 0
-    assert run(capsys, "construct", "--rho", "3", "--v", "11",
-               "--force-thm", "4", "--out", str(b))[0] == 0
-    assert a.read_text() == b.read_text()
-
-
 def test_construct_parity_clash(capsys):
     rc, _, stderr = run(capsys, "construct", "--rho", "2", "--v", "9",
                         "--variant", "packed")
@@ -175,6 +165,17 @@ def test_roomsquare_output_validates(capsys):
     square = pf.room_from_text(stdout)
     pf.validate_room(square)
     assert square.side == 9
+
+
+def test_construction_search_out_of_nodes_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(pf.onefactor, "STARTER_NODES", 10)
+    pf.room_square.cache_clear()
+    try:
+        rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "27")
+    finally:
+        pf.room_square.cache_clear()
+    assert rc == 3 and stdout == ""
+    assert "strong starter search for Z_23 ran out of its 10 nodes" in stderr
 
 
 def test_roomsquare_even_side_fails(capsys):

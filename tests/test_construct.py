@@ -97,6 +97,11 @@ def test_packing_cap():
         pf.max_packing(14)
 
 
+def test_packing_search_out_of_nodes_is_exhausted():
+    with pytest.raises(pf.Exhausted):
+        pf.max_packing(10, node_budget=5)
+
+
 def test_bose_9(bose9):
     assert bose9.design.b == 12
     assert bose9.rho == 3

@@ -1,4 +1,5 @@
-from itertools import combinations
+import time
+from itertools import combinations, count
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_generation_reproduces_the_stored_side7_square():
 
 def test_no_strong_starter_of_order_9():
     assert strong_starter(9) is None
+
+
+def test_square_does_not_depend_on_the_clock(monkeypatch):
+    room_square.cache_clear()
+    try:
+        expected = room_square(11)
+        room_square.cache_clear()
+        ticks = count(step=1000.0)
+        monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+        assert room_square(11) == expected
+    finally:
+        room_square.cache_clear()
 
 
 @pytest.mark.parametrize("side", [7, 9, 11, 13, 15])

@@ -61,6 +61,12 @@ def test_proof_of_nonsequenceability_needs_exhaustion():
     assert not starved.found and not starved.proven_nonsequenceable
 
 
+def test_exhausted_search_stops_at_the_node_past_its_budget():
+    out = pf.find_sequencing(pf.factor_join_packed(4, 10).design, budget=1000)
+    assert not out.found and not out.proven_nonsequenceable
+    assert out.nodes == 1001
+
+
 def test_valid_sequencings_reverse():
     d = pf.factor_join(2, 6).design
     out = pf.find_sequencing(d)
