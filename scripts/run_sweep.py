@@ -10,25 +10,8 @@ defaults match the acceptance gate (rho 1..5, even ell up to 24); pass
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import ppcforge as pf
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    rho_max: int = 5
-    ell_max: int = 24
-    budget: int = 20_000_000
-    strategy: str = "room"
-
-
-def iter_rows(cfg: SweepConfig):
-    for rho in range(1, cfg.rho_max + 1):
-        for ell in range(2 * rho, cfg.ell_max + 1, 2):
-            if (ell, rho) == (4, 2):
-                continue  # K_4 has no two disjoint one-factors
-            yield rho, ell
 
 
 def main() -> int:
@@ -38,31 +21,26 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=20_000_000)
     ap.add_argument("--strategy", choices=("room", "roundrobin"), default="room")
     args = ap.parse_args()
-    cfg = SweepConfig(args.rho_max, args.ell_max, args.budget, args.strategy)
 
     print(f"{'variant':8} {'rho':>3} {'ell':>3} {'v':>3} {'b':>4} {'maxPPC':>6} "
           f"{'nodes':>8} {'time':>8}")
     failures = 0
     t_all = time.perf_counter()
-    for rho, ell in iter_rows(cfg):
-        builders = [("pure", pf.factor_join), ("packed", pf.factor_join_packed)]
-        if ell > 2 * rho:
-            builders.append(("trimmed", pf.factor_join_odd))
-        for kind, builder in builders:
-            t0 = time.perf_counter()
-            witness = builder(rho, ell, strategy=cfg.strategy)
-            solved = pf.solve_max_ppc(witness.design, budget=cfg.budget)
-            dt = time.perf_counter() - t0
-            mark = ""
-            if not solved.optimal:
-                mark = "  BUDGET"
-                failures += 1
-            elif solved.size != rho:
-                mark = f"  EXPECTED {rho}"
-                failures += 1
-            print(f"{kind:8} {rho:>3} {ell:>3} {witness.design.v:>3} "
-                  f"{witness.design.b:>4} {solved.size:>6} {solved.nodes:>8} "
-                  f"{dt:>7.3f}s{mark}")
+    for kind, rho, ell in pf.sweep_grid(args.rho_max, args.ell_max):
+        t0 = time.perf_counter()
+        witness = pf.FACTOR_JOINS[kind](rho, ell, strategy=args.strategy)
+        solved = pf.solve_max_ppc(witness.design, budget=args.budget)
+        dt = time.perf_counter() - t0
+        mark = ""
+        if not solved.optimal:
+            mark = "  BUDGET"
+            failures += 1
+        elif solved.size != rho:
+            mark = f"  EXPECTED {rho}"
+            failures += 1
+        print(f"{kind:8} {rho:>3} {ell:>3} {witness.design.v:>3} "
+              f"{witness.design.b:>4} {solved.size:>6} {solved.nodes:>8} "
+              f"{dt:>7.3f}s{mark}")
     total = time.perf_counter() - t_all
     print(f"\n{failures} failures, {total:.1f}s total")
     return 1 if failures else 0

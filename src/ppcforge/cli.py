@@ -60,23 +60,12 @@ def _load_design(path: str) -> Design:
     return deserialize(_read(path))
 
 
-_VARIANTS = ("pure", "packed", "trimmed")
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     rho, v = args.rho, args.v
     variant = args.variant
     if variant is None:
         variant = "packed" if (v - rho) % 2 == 0 else "trimmed"
-    if variant == "trimmed":
-        ell = v - rho + 1
-        builder = construct_mod.factor_join_odd
-    elif variant == "packed":
-        ell = v - rho
-        builder = construct_mod.factor_join_packed
-    else:
-        ell = v - rho
-        builder = construct_mod.factor_join
+    ell = v - rho + (variant == "trimmed")  # trimming deletes one point
     if ell % 2:
         print(
             f"error: variant {variant} needs v-rho {'even' if variant != 'trimmed' else 'odd'} "
@@ -84,7 +73,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    witness = builder(rho, ell, strategy=args.strategy)
+    witness = construct_mod.FACTOR_JOINS[variant](rho, ell, strategy=args.strategy)
     result = solve_max_ppc(witness.design, budget=args.budget)
     if not result.optimal:
         print("solver budget exhausted before proving the maximum", file=sys.stderr)
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("room", "roundrobin"), default="room")
     p.add_argument(
         "--variant",
-        choices=_VARIANTS,
+        choices=tuple(construct_mod.FACTOR_JOINS),
         default=None,
         help="pure: factors only; packed: plus apex packing (default for even "
         "v-rho); trimmed: packed then one point deleted (default for odd v-rho)",

@@ -148,6 +148,29 @@ def factor_join_odd(
     return ConstructionWitness(design, rho, witness, s_points)
 
 
+FACTOR_JOINS = {"pure": factor_join, "packed": factor_join_packed, "trimmed": factor_join_odd}
+
+
+def sweep_grid(rho_max: int = 5, ell_max: int = 24) -> List[Tuple[str, int, int]]:
+    """The (variant, rho, ell) builds of the construction sweep.
+
+    Every rho up to ``rho_max`` and even ell from 2*rho up to ``ell_max``,
+    pure and packed, plus trimmed where ell > 2*rho.  (ell, rho) = (4, 2)
+    is left out: two vertex-disjoint edges of K_4 always lie in one
+    one-factor, so no two factors have independent representatives.  The
+    defaults give the 143 builds of the acceptance sweep.
+    """
+    out = []
+    for rho in range(1, rho_max + 1):
+        for ell in range(2 * rho, ell_max + 1, 2):
+            if (ell, rho) == (4, 2):
+                continue
+            out += [("pure", rho, ell), ("packed", rho, ell)]
+            if ell > 2 * rho:
+                out.append(("trimmed", rho, ell))
+    return out
+
+
 # Maximum packings on small point counts, one per rho; block counts equal
 # packing_number(rho).  rho=7 is the projective plane of order 2 developed
 # from the difference set {0,1,3}; rho=8 and 9 come from the 12 lines of the

@@ -2,12 +2,15 @@
 
 A partial parallel class (PPC) of a partial triple system is a set of
 pairwise vertex-disjoint blocks.  ``solve_max_ppc`` finds the exact maximum
-by depth-first search over point bitmasks; ``greedy_ppc`` supplies a fast
-incumbent.  ``extension_profile`` inspects a design together with a claimed
-maximum PPC and reports, for each point the class covers, how many blocks
-hang off it into the uncovered part -- certifying either that the standard
-swap arguments cannot grow the class, or that the class was not maximum
-after all.
+by depth-first search over block bitmasks; ``greedy_ppc`` supplies a fast
+incumbent and ``greedy_transversal`` an upper bound, since no PPC is larger
+than a point set meeting every block (weak duality, nu <= tau).  When the
+two meet, the maximum is proven without a search, and the transversal is
+the certificate.  ``extension_profile`` inspects a design together with a
+claimed maximum PPC and reports, for each point the class covers, how many
+blocks hang off it into the uncovered part -- certifying either that the
+standard swap arguments cannot grow the class, or that the class was not
+maximum after all.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +29,9 @@ class PpcResult:
     witness: Tuple[Block, ...]
     optimal: bool
     nodes: int
+    # the root transversal when it proved the optimum (len(cover) == size),
+    # else (): a point set meeting every block, checkable in O(b)
+    cover: Tuple[int, ...] = ()
 
     def __iter__(self):
         # convenience: size, witness = solve_max_ppc(...)
@@ -45,68 +51,96 @@ def greedy_ppc(design: Design) -> List[Block]:
     return out
 
 
-def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
-    """Exact maximum PPC via branch and bound on point bitmasks.
+def _through(design: Design) -> List[int]:
+    """Bitmask of the block indices through each point."""
+    through = [0] * design.v
+    for i, blk in enumerate(design.blocks):
+        for p in blk:
+            through[p] |= 1 << i
+    return through
 
-    The search branches on the lowest point that still has a usable block:
-    either some block through that point joins the class, or the point is
-    skipped, which discards every block through it.  Covered and skipped
-    points share one ``forbidden`` mask, so a block is usable iff its mask
-    misses ``forbidden``.  The bound ``chosen + free_points // 3`` prunes,
-    seeded by a greedy incumbent.  If the node budget runs out, the best
-    class found so far is returned with ``optimal=False``.
+
+def greedy_transversal(design: Design) -> Tuple[int, ...]:
+    """A point set meeting every block; a quick upper bound on the PPC.
+
+    Repeatedly takes the point that meets the most blocks not yet met,
+    lowest label on ties.  The blocks of a PPC are disjoint, so each needs
+    its own transversal point: no PPC is larger than any transversal.
+    """
+    through = _through(design)
+    unmet = (1 << design.b) - 1
+    cover = []
+    while unmet:
+        x = max(range(design.v), key=lambda p: ((through[p] & unmet).bit_count(), -p))
+        cover.append(x)
+        unmet &= ~through[x]
+    return tuple(sorted(cover))
+
+
+def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
+    """Exact maximum PPC via branch and bound on block bitmasks.
+
+    A greedy incumbent seeds the search and one greedy transversal, taken
+    at the root, caps it: no class outgrows a transversal, so the search
+    stops as soon as the incumbent is as large.  Every factor-join design
+    has a transversal of size rho (its apex points), and its search closes
+    this way at node 1.  The transversal is then returned as ``cover``, an
+    optimality certificate checkable in O(b); otherwise ``cover`` is ().
+
+    Below the root the search branches on the point with the fewest usable
+    blocks, lowest label on ties: either some block through that point
+    joins the class, or the point is skipped, which discards every block
+    through it.  A point is free while some usable block passes through it,
+    and the bound ``chosen + free_points // 3`` prunes.  If the node budget
+    runs out, the best class found so far is returned with
+    ``optimal=False``.
     """
     v = design.v
-    by_point: Dict[int, List[int]] = {p: [] for p in range(v)}
-    masks = []
     blocks = design.blocks
-    for i, (a, b, c) in enumerate(blocks):
-        m = (1 << a) | (1 << b) | (1 << c)
-        masks.append(m)
-        by_point[a].append(i)
-        by_point[b].append(i)
-        by_point[c].append(i)
+    through = _through(design)
+    # choosing block i discards every block that meets it
+    clash = [through[a] | through[b] | through[c] for a, b, c in blocks]
 
     best = greedy_ppc(design)
     best_size = len(best)
-    full = (1 << v) - 1
+    cover = greedy_transversal(design)
     counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
 
-    def rec(forbidden: int) -> None:
+    def rec(usable: int) -> None:
         nonlocal best, best_size
         counter.tick()
-        free = full & ~forbidden
-        # walk past points with no usable block left
-        x = None
-        scan = free
-        while scan:
-            p = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            if any(masks[i] & forbidden == 0 for i in by_point[p]):
-                x = p
-                break
-            free &= ~(1 << p)
-        if len(chosen) + bin(free).count("1") // 3 <= best_size:
+        if best_size == len(cover):  # no class outgrows a transversal
             return
-        if x is None:
+        x, fewest, free = -1, 0, 0
+        for p in range(v):
+            deg = (through[p] & usable).bit_count()
+            if deg:
+                free += 1
+                if x < 0 or deg < fewest:
+                    x, fewest = p, deg
+        if len(chosen) + free // 3 <= best_size:
+            return
+        if x < 0:
             if len(chosen) > best_size:
                 best_size = len(chosen)
                 best = [blocks[i] for i in chosen]
             return
-        for i in by_point[x]:
-            if masks[i] & forbidden:
-                continue
+        scan = through[x] & usable
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            i = low.bit_length() - 1
             chosen.append(i)
-            rec(forbidden | masks[i])
+            rec(usable & ~clash[i])
             chosen.pop()
-        # skipping x forbids every block through it
-        rec(forbidden | (1 << x))
+        # skipping x discards every block through it
+        rec(usable & ~through[x])
 
     optimal = True
     if blocks:
         try:
-            rec(0)
+            rec((1 << len(blocks)) - 1)
         except Exhausted:
             optimal = False
     return PpcResult(
@@ -114,6 +148,7 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
         witness=tuple(sorted(best)),
         optimal=optimal,
         nodes=counter.nodes,
+        cover=cover if optimal and best_size == len(cover) else (),
     )
 
 

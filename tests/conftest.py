@@ -16,6 +16,13 @@ def psts7():
 
 
 @pytest.fixture
+def fano():
+    """The Fano plane: its maximum PPC is 1, but no transversal has fewer
+    than 3 points and v//3 = 2, so only a search proves the maximum."""
+    return pf.validate(7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+
+
+@pytest.fixture
 def example11():
     """The 13-block PSTS(11) built from the side-7 square with rho=3."""
     return pf.factor_join_packed(3, 8)
@@ -63,17 +70,6 @@ def sub_designs(design, count, max_blocks, seed):
     return out
 
 
-def sweep_parameters():
-    """All (rho, ell) pairs the construction sweep covers."""
-    out = []
-    for rho in range(1, 6):
-        for ell in range(2 * rho, 25, 2):
-            if (ell, rho) == (4, 2):
-                continue
-            out.append((rho, ell))
-    return out
-
-
 @pytest.fixture(scope="session")
 def sweep():
     """Every construction in the verification sweep, solved once.
@@ -82,14 +78,7 @@ def sweep():
     "pure", "packed", "trimmed" and solved is the exact solver's result.
     """
     rows = []
-    for rho, ell in sweep_parameters():
-        builds = [
-            ("pure", pf.factor_join(rho, ell)),
-            ("packed", pf.factor_join_packed(rho, ell)),
-        ]
-        if ell > 2 * rho:
-            builds.append(("trimmed", pf.factor_join_odd(rho, ell)))
-        for kind, witness in builds:
-            solved = pf.solve_max_ppc(witness.design)
-            rows.append((kind, rho, ell, witness, solved))
+    for kind, rho, ell in pf.sweep_grid():
+        witness = pf.FACTOR_JOINS[kind](rho, ell)
+        rows.append((kind, rho, ell, witness, pf.solve_max_ppc(witness.design)))
     return rows

@@ -59,21 +59,30 @@ def test_solve_ppc(tmp_path, capsys):
     assert "nodes:" in stderr and "time:" in stderr
 
 
-def test_solve_ppc_budget_flag(tmp_path, capsys):
-    # a design whose greedy class does NOT already meet the v//3 bound,
-    # so a starved solver genuinely runs out of budget
-    path = write_design(tmp_path, pf.factor_join_odd(2, 8).design)
+def test_solve_ppc_budget_flag(tmp_path, capsys, fano):
+    # neither the greedy transversal nor v//3 closes the Fano plane at the
+    # root, so a starved solver genuinely runs out of budget
+    path = write_design(tmp_path, fano)
     rc, stdout, _ = run(capsys, "solve-ppc", path, "--budget", "2")
     assert rc == 3
     assert "budget-exhausted (lower bound)" in stdout
 
 
-def test_budget_env_variable(tmp_path, capsys, monkeypatch):
-    path = write_design(tmp_path, pf.factor_join_odd(2, 8).design)
+def test_budget_env_variable(tmp_path, capsys, monkeypatch, fano):
+    path = write_design(tmp_path, fano)
     monkeypatch.setenv("PPCFORGE_BUDGET", "2")
     assert run(capsys, "solve-ppc", path)[0] == 3
     # an explicit flag still wins over the environment
     assert run(capsys, "solve-ppc", path, "--budget", "1000000")[0] == 0
+
+
+@pytest.mark.parametrize("rho", [8, 10])
+def test_construct_verifies_v40(capsys, rho):
+    # the apex points are a transversal of size rho, which proves the
+    # maximum at the root; without that bound (10, 40) ran out of 200k nodes
+    rc, _, stderr = run(capsys, "construct", "--rho", str(rho), "--v", "40")
+    assert rc == 0
+    assert f"maximum PPC = {rho} verified" in stderr
 
 
 def test_budget_env_garbage_is_ignored(capsys, monkeypatch):

@@ -1,10 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
 from ppcforge.ppc import NotMaximum, extension_profile
 
-from conftest import designs
+from conftest import designs, linear_subset
 
 
 def test_psts7_has_max_ppc_2(psts7):
@@ -34,16 +37,16 @@ def test_witness_blocks_are_disjoint_design_blocks(example11):
     assert len(result.witness) == result.size
 
 
-def test_budget_exhaustion_flagged():
-    # bose9 would not do here: its greedy class already meets the v//3
-    # bound, so the solver proves it optimal without searching.  The
-    # trimmed construction leaves real slack between bound and optimum.
-    hard = pf.factor_join_odd(2, 8).design
-    result = pf.solve_max_ppc(hard, budget=2)
+def test_budget_exhaustion_flagged(fano):
+    # bose9 or a factor-join build would not do here: the v//3 bound or the
+    # greedy transversal proves them at the root, without searching.  The
+    # Fano plane leaves real slack between both bounds and the optimum.
+    result = pf.solve_max_ppc(fano, budget=2)
     assert not result.optimal
     assert result.size >= 1  # greedy incumbent still reported
-    proven = pf.solve_max_ppc(hard)
-    assert proven.optimal and proven.size == 2
+    assert result.cover == ()
+    proven = pf.solve_max_ppc(fano)
+    assert proven.optimal and proven.size == 1 and proven.nodes > 2
     assert result.size <= proven.size
 
 
@@ -80,6 +83,43 @@ def test_size_caps(d):
     r = pf.solve_max_ppc(d)
     assert r.size <= d.v // 3
     assert len(pf.greedy_ppc(d)) <= r.size
+
+
+@given(designs())
+@settings(max_examples=60, deadline=None)
+def test_greedy_transversal_bounds_the_ppc(d):
+    cover = pf.greedy_transversal(d)
+    assert all(set(cover) & set(blk) for blk in d.blocks)
+    r = pf.solve_max_ppc(d)
+    assert r.size <= len(cover)
+    # the certificate comes back exactly when it proves the optimum
+    assert r.cover == (cover if r.size == len(cover) else ())
+
+
+def test_root_cover_certifies_grid_builds(sweep):
+    # the transversal closes 137 builds at node 1 and 4 more once the
+    # search reaches its size; trimmed (2, 6) closes at node 1 by v//3
+    certified = [(w, r) for _, _, _, w, r in sweep if r.cover]
+    assert len(certified) >= 141
+    assert sum(r.nodes == 1 for _, r in certified) >= 137
+    for witness, solved in certified:
+        assert solved.optimal and len(solved.cover) == solved.size
+        assert all(set(solved.cover) & set(blk) for blk in witness.design.blocks)
+
+
+def test_branching_matches_oracle_up_to_20_blocks():
+    # random PSTS on 10..15 points with up to 20 blocks; the root
+    # transversal closes few of them, so the branching is what gets checked
+    rng = random.Random(2020)
+    searched = 0
+    for _ in range(60):
+        v = rng.randint(10, 15)
+        triples = rng.sample(list(combinations(range(v), 3)), 60)
+        d = pf.validate(v, linear_subset(triples)[:20])
+        r = pf.solve_max_ppc(d)
+        assert r.optimal and r.size == pf.brute_max_ppc(d)
+        searched += r.nodes > 1
+    assert searched >= 40
 
 
 def test_profile_on_example(example11):
@@ -136,11 +176,11 @@ def test_profile_rejects_foreign_block(psts7):
         extension_profile(psts7, [(0, 1, 3)])
 
 
-def test_profile_requires_proven_optimum(psts7):
-    capped = pf.solve_max_ppc(psts7, budget=1)
-    if not capped.optimal:
-        with pytest.raises(ValueError):
-            extension_profile(psts7, capped)
+def test_profile_requires_proven_optimum(fano):
+    capped = pf.solve_max_ppc(fano, budget=1)
+    assert not capped.optimal
+    with pytest.raises(ValueError):
+        extension_profile(fano, capped)
 
 
 def test_condition_tags_partition_the_class(sweep):
