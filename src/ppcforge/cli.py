@@ -303,3 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main(argv=None))
+
+
+if __name__ == "__main__":
+    entry()

@@ -15,24 +15,21 @@ block meets the apex set S, so no rho+1 disjoint blocks exist.  Variants:
 
 ``construct_bose`` builds the classic STS(v) for v = 3 mod 6 over
 Z_n x {0,1,2}, which contains a full parallel class.  ``max_packing``
-supplies the D(rho)-block packings; ``check_sts27_triples`` verifies the
-eight stored sum-zero triples over Z_5 x Z_5 that witness a PPC of size 8
-inside a parallel-class-free STS(27).
+builds the D(rho)-block packings without search, one closed form per
+residue of rho mod 6.  ``check_sts27_triples`` verifies the eight stored
+sum-zero triples over Z_5 x Z_5 that witness a PPC of size 8 inside a
+parallel-class-free STS(27).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import packing_number
-from .core import Block, Budget, Design, OutOfRange, ToolkitError, validate
+from .core import Block, Design, OutOfRange, ToolkitError, validate
 from .onefactor import FactorSelection, select_factors
 
 Vec = Tuple[int, int]
-
-
-class PackingShortfall(ToolkitError):
-    """No packing with D(rho) blocks: rho is above the search cap, the
-    target exceeds the pair supply, or a complete search found none."""
 
 
 class BadResidue(ToolkitError):
@@ -171,10 +168,11 @@ def sweep_grid(rho_max: int = 5, ell_max: int = 24) -> List[Tuple[str, int, int]
     return out
 
 
-# Maximum packings on small point counts, one per rho; block counts equal
-# packing_number(rho).  rho=7 is the projective plane of order 2 developed
-# from the difference set {0,1,3}; rho=8 and 9 come from the 12 lines of the
-# 3x3 affine plane (rho=8 keeps the 8 lines missing the last point).
+# Maximum packings kept for 6 <= rho <= 10, where the closed forms below
+# give other packings of the same size that would change what ``construct``
+# prints.  rho=7 is the projective plane of order 2 developed from the
+# difference set {0,1,3}; rho=8 and 9 come from the 12 lines of the 3x3
+# affine plane (rho=8 keeps the 8 lines missing the last point).
 _AFFINE9: Tuple[Block, ...] = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),
     (0, 3, 6), (1, 4, 7), (2, 5, 8),
@@ -182,97 +180,107 @@ _AFFINE9: Tuple[Block, ...] = (
     (0, 5, 7), (1, 3, 8), (2, 4, 6),
 )
 _PACKINGS: Dict[int, Tuple[Block, ...]] = {
-    1: (),
-    2: (),
-    3: ((0, 1, 2),),
-    4: ((0, 1, 2),),
-    5: ((0, 1, 2), (0, 3, 4)),
     6: ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)),
     7: tuple(
         sorted(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7))
     ),
     8: tuple(sorted(b for b in _AFFINE9 if 8 not in b)),
     9: _AFFINE9,
+    10: (
+        (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (1, 3, 5), (1, 4, 6),
+        (1, 7, 9), (2, 3, 7), (2, 4, 8), (2, 6, 9), (3, 6, 8), (4, 5, 7),
+        (5, 8, 9),
+    ),
 }
 
 
-def _packing_search(n: int, target: int, node_budget: int) -> List[Block]:
-    """Find ``target`` pair-disjoint triples on 0..n-1 by branch and bound.
+def _mixed_triples(m: int, op: Callable[[int, int], int]) -> List[Block]:
+    """{(x,i), (y,i), (x op y, i+1)} for x < y in Z_m and i in Z_3, with
+    (x, i) labelled 3x+i: the bulk of the Bose, Skolem and 6n+5 designs."""
+    return [
+        (3 * x + i, 3 * y + i, 3 * op(x, y) + (i + 1) % 3)
+        for x, y in combinations(range(m), 2)
+        for i in range(3)
+    ]
 
-    Branches on the lowest pair not yet covered and not yet written off:
-    either some triple through it joins the packing, or the pair is left
-    uncovered, spending one unit of the leave budget C(n,2) - 3*target.
-    Raises ``Exhausted`` past ``node_budget`` nodes.
+
+def _skolem(v: int) -> List[Block]:
+    """Skolem's STS(v), v = 6n+1, on Z_2n x Z_3 (labelled 3x+i) plus inf =
+    v-1: the columns (x, 0..2) and {inf, (n+x, i), (x, i+1)} for x < n, and
+    mixed triples from x o y = sigma(x+y mod 2n), sigma(2i) = i and
+    sigma(2i+1) = n+i, a half-idempotent commutative quasigroup."""
+    n = (v - 1) // 6
+
+    def op(x: int, y: int) -> int:
+        s = (x + y) % (2 * n)
+        return s // 2 + n * (s % 2)
+
+    blocks = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(n)]
+    for x in range(n):
+        blocks += [(v - 1, 3 * (n + x) + i, 3 * x + (i + 1) % 3) for i in range(3)]
+    return blocks + _mixed_triples(2 * n, op)
+
+
+def _packing_6n5(v: int) -> List[Block]:
+    """A maximum packing for v = 6n+5 whose leave is a 4-cycle.
+
+    The 6n+5 design on Z_2n+1 x Z_3 (labelled 3x+i) plus inf_1 = v-2 and
+    inf_2 = v-1 has one 5-block {(0,0), (0,1), (0,2), inf_1, inf_2}, split
+    here into two triples through (0,0).  Its triples are {inf_1, (a,i),
+    (b,i+1)} and {inf_2, (b,i), (a,i+1)} for a = 2x-1, b = 2x, and {(x,i),
+    (y,i), (alpha(x o y), i+1)} with x o y = (x+y)/2, alpha = (0)(1 2)(3 4)...
     """
-    pair_idx = {}
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair_idx[(a, b)] = k
-            k += 1
-    npairs = k
-    leave_budget = npairs - 3 * target
-    if leave_budget < 0:
-        raise PackingShortfall(f"target {target} exceeds the pair supply on {n} points")
-    chosen: List[Block] = []
-    counter = Budget(node_budget, f"packing search for {target} triples on {n} points")
+    n = (v - 5) // 6
+    m = 2 * n + 1
 
-    def pi(a: int, b: int) -> int:
-        return pair_idx[(a, b) if a < b else (b, a)]
+    def op(x: int, y: int) -> int:
+        z = (x + y) * (n + 1) % m
+        return z + 1 if z % 2 else max(z - 1, 0)
 
-    def rec(assigned: int, leaves: int) -> bool:
-        if len(chosen) == target:
-            return True
-        counter.tick()
-        idx = 0
-        first = None
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not assigned & (1 << idx):
-                    first = (a, b)
-                    break
-                idx += 1
-            if first:
-                break
-        if first is None:
-            return False
-        a, b = first
-        bit = 1 << idx
-        for c in range(n):
-            if c in (a, b):
-                continue
-            i1, i2 = pi(a, c), pi(b, c)
-            if assigned & ((1 << i1) | (1 << i2)):
-                continue
-            chosen.append(tuple(sorted((a, b, c))))
-            if rec(assigned | bit | (1 << i1) | (1 << i2), leaves):
-                return True
-            chosen.pop()
-        if leaves > 0 and rec(assigned | bit, leaves - 1):
-            return True
-        return False
-
-    if not rec(0, leave_budget):
-        raise PackingShortfall(
-            f"no packing with {target} triples on {n} points was found"
-        )
-    return sorted(chosen)
+    blocks = [(0, 1, 2), (0, v - 2, v - 1)]
+    for a in range(1, m, 2):
+        b = a + 1
+        for i in range(3):
+            blocks.append((v - 2, 3 * a + i, 3 * b + (i + 1) % 3))
+            blocks.append((v - 1, 3 * b + i, 3 * a + (i + 1) % 3))
+    return blocks + _mixed_triples(m, op)
 
 
-def max_packing(rho: int, cap: int = 13, node_budget: int = 20_000_000) -> Design:
-    """A PSTS(rho) with the full packing_number(rho) blocks.
+def _bose(v: int) -> List[Block]:
+    n = v // 3
+    inv2 = (n + 1) // 2
+    columns = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(n)]
+    return columns + _mixed_triples(n, lambda x, y: (x + y) * inv2 % n)
 
-    Stored answers for rho <= 9, exact search above; the default cap keeps
-    the search in territory where it finishes in well under a second.
+
+def _packing(rho: int) -> Sequence[Block]:
+    if rho in _PACKINGS:
+        return _PACKINGS[rho]
+    if rho % 2 == 0:
+        return [blk for blk in _packing(rho + 1) if rho not in blk]
+    return {1: _skolem, 3: _bose, 5: _packing_6n5}[rho % 6](rho)
+
+
+def max_packing(rho: int) -> Design:
+    """A PSTS(rho) with the full packing_number(rho) blocks, in closed form.
+
+    Stored for 6 <= rho <= 10, else by rho mod 6 (Colbourn & Rosa, *Triple
+    Systems*, 1999; Lindner & Rodger, *Design Theory*, ch. 1):
+
+    * rho = 3: the Bose STS(rho) of ``construct_bose``;
+    * rho = 1: Skolem's STS(rho);
+    * rho = 5: the 6n+5 design with its 5-block split, leaving a 4-cycle;
+    * even rho: the packing on rho+1 points minus its last point, rho.  The
+      leave becomes a perfect matching for rho = 0, 2 and, since point rho
+      lies on the 4-cycle, K_1,3 plus a matching for rho = 4.
+
+    No PSTS(rho) has more than D(rho) blocks, so the result is maximum.
     """
     if rho < 1:
         raise OutOfRange(f"need rho >= 1, got {rho}")
-    if rho > cap:
-        raise PackingShortfall(f"rho={rho} is above the search cap {cap}")
-    if rho in _PACKINGS:
-        return validate(rho, list(_PACKINGS[rho]))
-    blocks = _packing_search(rho, packing_number(rho), node_budget)
-    return validate(rho, blocks)
+    design = validate(rho, _packing(rho))
+    assert design.b == packing_number(rho)
+    return design
 
 
 def construct_bose(v: int) -> ConstructionWitness:
@@ -285,16 +293,7 @@ def construct_bose(v: int) -> ConstructionWitness:
     if v % 6 != 3:
         raise BadResidue(f"need v = 3 mod 6, got {v}")
     n = v // 3
-    inv2 = (n + 1) // 2
-    blocks: List[Block] = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            z = ((x + y) * inv2) % n
-            for j in range(3):
-                blocks.append(
-                    tuple(sorted((3 * x + j, 3 * y + j, 3 * z + (j + 1) % 3)))
-                )
-    design = validate(v, blocks)
+    design = validate(v, _bose(v))
     assert design.b == v * (v - 1) // 6
     witness = tuple((3 * x, 3 * x + 1, 3 * x + 2) for x in range(n))
     return ConstructionWitness(design, n, witness, ())

@@ -80,9 +80,6 @@ class Design:
     def b(self) -> int:
         return len(self.blocks)
 
-    def point_set(self):
-        return range(self.v)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

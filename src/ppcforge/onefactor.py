@@ -20,8 +20,8 @@ edge-disjoint one-factors F_1..F_rho of K_ell together with representative
 edges e_j in F_j that are pairwise vertex-disjoint.  For ell >= 8 the rows
 of a Room square of side ell-1 with a filled first-column cell supply both
 the factors and the representatives (the first column is itself a
-one-factor, which makes the representatives independent).  There is no such
-selection for (ell, rho) = (4, 2): K_4 has no two disjoint one-factors.
+one-factor, which makes the representatives independent).  No selection
+exists for (ell, rho) = (4, 2): disjoint edges of K_4 share a one-factor.
 """
 
 from dataclasses import dataclass
@@ -426,7 +426,7 @@ def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelectio
     if rho < 1 or 2 * rho > ell:
         raise Infeasible(f"need 1 <= rho <= ell/2, got rho={rho}, ell={ell}")
     if (ell, rho) == (4, 2):
-        raise Infeasible("K_4 has no two disjoint one-factors")
+        raise Infeasible("two vertex-disjoint edges of K_4 lie in one one-factor")
     if ell == 2:
         return FactorSelection(2, (((0, 1),),), ((0, 1),))
     if ell == 4:

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,6 +86,25 @@ def test_construct_verifies_v40(capsys, rho):
     rc, _, stderr = run(capsys, "construct", "--rho", str(rho), "--v", "40")
     assert rc == 0
     assert f"maximum PPC = {rho} verified" in stderr
+
+
+@pytest.mark.parametrize("rho,v", [(14, 42), (20, 60)])
+def test_construct_verifies_past_rho13(capsys, rho, v):
+    # the packing on the apex points is built in closed form for every rho;
+    # a packing search capped at rho = 13 made (14, 42) exit 1
+    rc, _, stderr = run(capsys, "construct", "--rho", str(rho), "--v", str(v))
+    assert rc == 0
+    assert f"maximum PPC = {rho} verified" in stderr
+
+
+def test_module_runs_the_cli(capsys):
+    argv = ["construct", "--rho", "2", "--v", "8"]
+    rc, stdout, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pf.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ppcforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (rc, stdout)
+    assert rc == 0 and stdout
 
 
 def test_budget_env_garbage_is_ignored(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 import ppcforge as pf
@@ -5,7 +8,6 @@ from ppcforge.construct import (
     BadResidue,
     NoDeletablePoint,
     NotDisjoint,
-    PackingShortfall,
     SumViolation,
     check_sts27_triples,
 )
@@ -84,22 +86,52 @@ def test_witness_is_disjoint_in_design(sweep):
             seen |= set(blk)
 
 
-@pytest.mark.parametrize("rho,expected", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2),
-                                          (6, 4), (7, 7), (8, 8), (9, 12), (10, 13),
-                                          (11, 17), (12, 20), (13, 26)])
+def _leave_pairs(rho):
+    """How many pairs a maximum packing on rho points leaves uncovered: none
+    for rho = 1, 3 mod 6, a perfect matching for 0, 2, K_1,3 plus a matching
+    for 4, a 4-cycle for 5."""
+    return {0: rho // 2, 1: 0, 2: rho // 2, 3: 0, 4: rho // 2 + 1, 5: 4}[rho % 6]
+
+
+@pytest.mark.parametrize(
+    "rho,expected",
+    [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 4), (7, 7), (8, 8), (9, 12),
+     (10, 13), (11, 17), (12, 20), (13, 26)]
+    + [(rho, (rho * (rho - 1) // 2 - _leave_pairs(rho)) // 3)
+       for rho in range(14, 101)],
+)
 def test_max_packing_hits_the_packing_number(rho, expected):
     mp = pf.max_packing(rho)
     assert mp.b == expected == pf.packing_number(rho)
 
 
-def test_packing_cap():
-    with pytest.raises(PackingShortfall):
-        pf.max_packing(14)
+@pytest.mark.parametrize("rho", range(1, 101))
+def test_max_packing_leave_by_residue(rho):
+    covered = {pair for a, b, c in pf.max_packing(rho).blocks
+               for pair in ((a, b), (a, c), (b, c))}
+    degree = Counter(p for x in range(rho) for y in range(x + 1, rho)
+                     if (x, y) not in covered for p in (x, y))
+    degrees = sorted(degree.values())
+    if rho % 6 in (1, 3):
+        assert degrees == []
+    elif rho % 6 in (0, 2):
+        assert degrees == [1] * rho  # a perfect matching
+    elif rho % 6 == 4:
+        # one point of degree 3, all others of degree 1: K_1,3 plus a matching
+        assert degrees == [1] * (rho - 1) + [3]
+    else:
+        # four points of degree 2 and four pairs: a 4-cycle
+        assert degrees == [2, 2, 2, 2]
+    assert sum(degrees) == 2 * _leave_pairs(rho)
 
 
-def test_packing_search_out_of_nodes_is_exhausted():
-    with pytest.raises(pf.Exhausted):
-        pf.max_packing(10, node_budget=5)
+def test_max_packing_small_rho_unchanged():
+    # the packings of rho <= 10 are kept as they were before the closed
+    # forms: the stored construct outputs and the benchmark designs use them
+    blocks = repr([pf.max_packing(rho).blocks for rho in range(1, 11)])
+    assert hashlib.sha256(blocks.encode()).hexdigest() == (
+        "27ca35f98e3d4471e79d1430df6af3187b34ff85ccb271ebae7c0fa71cb563e5"
+    )
 
 
 def test_bose_9(bose9):

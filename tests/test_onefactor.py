@@ -125,7 +125,7 @@ def test_select_factors_room_reps_for_ell8():
 
 
 def test_select_factors_4_2_infeasible():
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="disjoint edges of K_4 lie in one one-factor"):
         pf.select_factors(4, 2)
 
 
