@@ -22,7 +22,7 @@ from . import construct as construct_mod
 from .core import Design, Exhausted, ToolkitError, deserialize, read_ppc_comments, serialize
 from .onefactor import room_square, room_to_text, validate_room
 from .oracle import brute_beta
-from .ppc import solve_max_ppc
+from .ppc import class_points, solve_max_ppc
 from .sequence import (
     check_sequencing,
     find_sequencing,
@@ -120,17 +120,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     comments = read_ppc_comments(_read(args.file))
     if comments:
-        used = set()
-        block_set = set(design.blocks)
-        for blk in comments:
-            if tuple(sorted(blk)) not in block_set:
-                print(f"invalid: claimed class block {blk} is not in the design")
-                return 2
-            for p in blk:
-                if p in used:
-                    print(f"invalid: claimed class reuses point {p}")
-                    return 2
-                used.add(p)
+        try:
+            class_points(design, comments)
+        except ValueError as exc:
+            print(f"invalid: claimed {exc}")
+            return 2
         print(f"ok: v={design.v} b={design.b}, embedded class of {len(comments)} disjoint blocks")
     else:
         print(f"ok: v={design.v} b={design.b}")

@@ -9,24 +9,26 @@ i.e. forms a one-factor.  Room squares of side n exist for every odd n >= 7;
 none exist for sides 3 and 5.
 
 Squares are produced by a starter-adder construction over the cyclic group
-Z_n whenever an exhaustive search finds a strong starter (all odd n >= 7
-except 9), and otherwise by a standardized-diagonal backtracking fill of the
-grid.  Both searches count nodes against fixed limits and raise
-``Exhausted`` past them, so the square depends only on the side.  Side 7
-has a stored reference square, which the search reproduces cell for cell.
+Z_n from a strong starter, which an exhaustive search finds for every odd
+n >= 7 except 9.  The search counts nodes against a fixed limit and raises
+``Exhausted`` past it, so the square depends only on the side.  Z_9 has no
+strong starter, and side 9 is a stored square; side 7 has a stored
+reference square too, which the search reproduces cell for cell.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
 edges e_j in F_j that are pairwise vertex-disjoint.  For ell >= 8 the rows
 of a Room square of side ell-1 with a filled first-column cell supply both
 the factors and the representatives (the first column is itself a
-one-factor, which makes the representatives independent).  No selection
-exists for (ell, rho) = (4, 2): disjoint edges of K_4 share a one-factor.
+one-factor, which makes the representatives independent).  Alternatively,
+a perfect matching that meets every factor of ``round_robin`` at most once
+(``rainbow_matching``, in closed form) supplies the representatives and
+picks the factors.  No selection exists for (ell, rho) = (4, 2): disjoint
+edges of K_4 share a one-factor.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .core import Budget, ParseError, ToolkitError
@@ -34,11 +36,9 @@ from .core import Budget, ParseError, ToolkitError
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
 
-# Node limits of the construction searches; sides up to 51 find a strong
-# starter within STARTER_NODES.
+# Node limit of the strong starter search; sides up to 51 find a strong
+# starter within it.
 STARTER_NODES = 2_000_000
-FILL_NODES = 50_000_000
-REPS_NODES = 1_000_000
 
 
 class OddOrder(ToolkitError):
@@ -129,6 +129,28 @@ def round_robin(ell: int) -> OneFactorization:
     return OneFactorization(ell, tuple(factors))
 
 
+def rainbow_matching(ell: int) -> List[Tuple[Edge, int]]:
+    """A perfect matching of K_ell, even ell >= 6, that meets every factor
+    of ``round_robin(ell)`` at most once, as (edge, factor index) pairs.
+
+    With m = ell-1, the edge {a, b} with a, b < m lies in factor
+    (a+b)/2 mod m and {r, m} lies in factor r.  For m = 1 (mod 4) the
+    matching is {0, m} and {2j+1, 2j+2}; for m = 3 (mod 4) it is {2i, 2i+1}
+    for i < (m-5)/2, then {m-5, m-3}, {m-4, m-1} and {m-2, m}.  Either way
+    the factor indices are pairwise distinct.
+    """
+    if ell < 6 or ell % 2:
+        raise Infeasible(f"rainbow matchings are built for even orders >= 6, got {ell}")
+    m = ell - 1
+    if m % 4 == 1:
+        edges = [(0, m)] + [(2 * j + 1, 2 * j + 2) for j in range((m - 1) // 2)]
+    else:
+        edges = [(2 * i, 2 * i + 1) for i in range((m - 5) // 2)]
+        edges += [(m - 5, m - 3), (m - 4, m - 1), (m - 2, m)]
+    half = (m + 1) // 2  # the inverse of 2 mod m
+    return [((a, b), a if b == m else (a + b) * half % m) for a, b in edges]
+
+
 def strong_starter(n: int) -> Optional[List[Edge]]:
     """Exhaustively search Z_n for a strong starter.
 
@@ -191,77 +213,6 @@ def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
     return RoomSquare(n, tuple(tuple(row) for row in grid))
 
 
-def _room_by_backtracking(n: int) -> RoomSquare:
-    """Fill a standardized grid: diagonal cell (i,i) holds {i, n}, rows are
-    completed top to bottom, always extending the lowest missing symbol.
-
-    Standardizing the diagonal loses no generality (any Room square can be
-    carried to that form by simultaneous row/column permutation), and it
-    leaves the 36-edge fill of K_n over the off-diagonal cells, which prunes
-    well: a column may take at most one edge per remaining row.  Raises
-    ``Exhausted`` past ``FILL_NODES`` nodes.
-    """
-    inf = n
-    quota = (n - 1) // 2
-    grid: List[List[Optional[Edge]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        grid[i][i] = (i, inf)
-    col_mask = [1 << c for c in range(n)]
-    col_cnt = [0] * n
-    edge_used = set()
-    full = (1 << n) - 1
-    counter = Budget(FILL_NODES, f"grid fill for side {n}")
-
-    def fill(i: int, missing: int) -> bool:
-        if missing == 0:
-            nxt = i + 1
-            for c in range(n):
-                rows_left = (n - nxt) - (1 if c >= nxt else 0)
-                if quota - col_cnt[c] > rows_left:
-                    return False
-            if nxt == n:
-                return True
-            return fill(nxt, full & ~(1 << nxt))
-        counter.tick()
-        s = (missing & -missing).bit_length() - 1
-        need = bin(missing).count("1") // 2
-        avail = sum(
-            1
-            for c in range(n)
-            if c != i and grid[i][c] is None and col_cnt[c] < quota
-        )
-        if avail < need:
-            return False
-        rest = missing & ~(1 << s)
-        m = rest
-        while m:
-            t = (m & -m).bit_length() - 1
-            m &= m - 1
-            if (s, t) in edge_used:
-                continue
-            bits = (1 << s) | (1 << t)
-            for c in range(n):
-                if c == i or grid[i][c] is not None or col_cnt[c] >= quota:
-                    continue
-                if col_mask[c] & bits:
-                    continue
-                grid[i][c] = (s, t)
-                col_mask[c] |= bits
-                col_cnt[c] += 1
-                edge_used.add((s, t))
-                if fill(i, missing & ~bits):
-                    return True
-                edge_used.discard((s, t))
-                col_cnt[c] -= 1
-                col_mask[c] &= ~bits
-                grid[i][c] = None
-        return False
-
-    if not fill(0, full & ~1):
-        raise Unconstructible(f"no standardized fill found for side {n}")
-    return RoomSquare(n, tuple(tuple(row) for row in grid))
-
-
 # Reference square of side 7 (the classic cyclic square; also what the
 # default strong-starter search produces).  Diagonal carries {i, 7}.
 _SIDE7_CELLS = {
@@ -274,11 +225,32 @@ _SIDE7_CELLS = {
     (6, 2): (3, 5), (6, 4): (1, 2), (6, 5): (0, 4), (6, 6): (6, 7),
 }
 
+# Square of side 9, where Z_9 has no strong starter.  Diagonal carries
+# {i, 9}.
+_SIDE9_CELLS = {
+    (0, 0): (0, 9), (0, 1): (3, 4), (0, 2): (5, 6), (0, 3): (1, 2),
+    (0, 4): (7, 8), (1, 0): (3, 5), (1, 1): (1, 9), (1, 2): (4, 7),
+    (1, 3): (6, 8), (1, 4): (0, 2), (2, 0): (4, 8), (2, 1): (5, 7),
+    (2, 2): (2, 9), (2, 4): (3, 6), (2, 5): (0, 1), (3, 3): (3, 9),
+    (3, 4): (1, 5), (3, 5): (2, 8), (3, 6): (0, 4), (3, 8): (6, 7),
+    (4, 1): (2, 6), (4, 2): (0, 3), (4, 4): (4, 9), (4, 6): (1, 7),
+    (4, 7): (5, 8), (5, 0): (2, 7), (5, 5): (5, 9), (5, 6): (3, 8),
+    (5, 7): (0, 6), (5, 8): (1, 4), (6, 2): (1, 8), (6, 5): (3, 7),
+    (6, 6): (6, 9), (6, 7): (2, 4), (6, 8): (0, 5), (7, 0): (1, 6),
+    (7, 1): (0, 8), (7, 3): (4, 5), (7, 7): (7, 9), (7, 8): (2, 3),
+    (8, 3): (0, 7), (8, 5): (4, 6), (8, 6): (2, 5), (8, 7): (1, 3),
+    (8, 8): (8, 9),
+}
+
+
+def _stored(side: int, cells) -> RoomSquare:
+    grid = [[cells.get((r, c)) for c in range(side)] for r in range(side)]
+    return RoomSquare(side, tuple(tuple(row) for row in grid))
+
 
 def side7_fixture() -> RoomSquare:
     """The stored side-7 square."""
-    grid = [[_SIDE7_CELLS.get((r, c)) for c in range(7)] for r in range(7)]
-    return RoomSquare(7, tuple(tuple(row) for row in grid))
+    return _stored(7, _SIDE7_CELLS)
 
 
 @lru_cache(maxsize=None)
@@ -286,16 +258,18 @@ def room_square(side: int) -> RoomSquare:
     """Build a Room square of the given side.
 
     Sides must be odd and at least 7 (there is no Room square of side 3 or
-    5, and side 1 is trivial and unused here).  The grid fill runs only
-    when no strong starter of Z_side exists.
+    5, and side 1 is trivial and unused here).  Side 9 is the stored
+    square; every other side develops a strong starter of Z_side.
     """
     if side % 2 == 0 or side < 7:
         raise BadSide(f"Room squares need an odd side >= 7, got {side}")
-    starter = strong_starter(side)
-    if starter is not None:
-        square = _square_from_starter(side, starter)
+    if side == 9:
+        square = _stored(9, _SIDE9_CELLS)
     else:
-        square = _room_by_backtracking(side)
+        starter = strong_starter(side)
+        if starter is None:
+            raise Unconstructible(f"Z_{side} has no strong starter")
+        square = _square_from_starter(side, starter)
     validate_room(square)
     return square
 
@@ -388,38 +362,16 @@ _ELL6_FACTORS: Tuple[Factor, ...] = (
 _ELL6_REPS: Tuple[Edge, ...] = ((0, 3), (4, 5), (1, 2))
 
 
-def _independent_reps(factors: Tuple[Factor, ...]) -> Optional[List[Edge]]:
-    """Backtracking search for pairwise vertex-disjoint representatives;
-    raises ``Exhausted`` past ``REPS_NODES`` nodes."""
-    reps: List[Edge] = []
-    counter = Budget(REPS_NODES, "representative search")
-
-    def rec(i: int, used: int) -> bool:
-        if i == len(factors):
-            return True
-        counter.tick()
-        for a, b in factors[i]:
-            bits = (1 << a) | (1 << b)
-            if used & bits:
-                continue
-            reps.append((a, b))
-            if rec(i + 1, used | bits):
-                return True
-            reps.pop()
-        return False
-
-    return list(reps) if rec(0, 0) else None
-
-
 def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelection:
     """Pick rho edge-disjoint one-factors of K_ell plus independent reps.
 
     Preconditions: ell even, 1 <= rho <= ell/2, and (ell, rho) != (4, 2),
     which is infeasible.  Strategies: ``room`` (default, ell >= 8) reads the
     factors off Room square rows whose first-column cell is filled;
-    ``roundrobin`` takes circle-method factors and searches for independent
-    representatives, trying further factor subsets before giving up.  Orders
-    2, 4, and 6 use fixed explicit factors regardless of strategy.
+    ``roundrobin`` takes the first rho edges of ``rainbow_matching`` as the
+    representatives and the circle-method factors through them, in closed
+    form for every order.  Orders 2, 4, and 6 use fixed explicit factors
+    regardless of strategy.
     """
     if ell < 2 or ell % 2:
         raise OddOrder(f"need an even order >= 2, got {ell}")
@@ -447,18 +399,9 @@ def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelectio
                 break
         return FactorSelection(ell, tuple(factors), tuple(reps))
     if strategy == "roundrobin":
-        all_factors = round_robin(ell).factors
-        first_try = all_factors[:rho]
-        reps = _independent_reps(first_try)
-        if reps is not None:
-            return FactorSelection(ell, first_try, tuple(reps))
-        for subset in combinations(range(len(all_factors)), rho):
-            chosen = tuple(all_factors[i] for i in subset)
-            reps = _independent_reps(chosen)
-            if reps is not None:
-                return FactorSelection(ell, chosen, tuple(reps))
-        raise Unconstructible(
-            f"no independent representatives found in round-robin factors "
-            f"for ell={ell}, rho={rho}"
+        factors = round_robin(ell).factors
+        picked = rainbow_matching(ell)[:rho]
+        return FactorSelection(
+            ell, tuple(factors[r] for _, r in picked), tuple(e for e, _ in picked)
         )
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,7 +1,7 @@
 """Brute-force ground truth for tiny instances.
 
-These routines trade speed for transparency: plain include/exclude
-enumeration with no clever bounds beyond feasibility pruning, so their
+These routines trade speed for transparency: plain enumeration of disjoint
+block sets with no clever bounds beyond feasibility pruning, so their
 answers can serve as an independent check on the optimized solver and on
 the construction claims.  ``brute_max_ppc`` enumerates disjoint block
 subsets directly; ``brute_beta`` enumerates partial Steiner triple systems
@@ -21,33 +21,9 @@ class TooLarge(ToolkitError):
     """Instance exceeds the deliberate size cap of the brute-force oracle."""
 
 
-def brute_max_ppc(design: Design, cap: int = 25) -> int:
-    """Maximum PPC size by exhaustive include/exclude over blocks."""
-    b = design.b
-    if b > cap:
-        raise TooLarge(f"{b} blocks exceeds the oracle cap of {cap}")
-    masks = []
-    for x, y, z in design.blocks:
-        masks.append((1 << x) | (1 << y) | (1 << z))
-
-    best = 0
-
-    def rec(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if i == len(masks):
-            return
-        # include masks[i] when disjoint, then exclude it
-        if used & masks[i] == 0:
-            rec(i + 1, used | masks[i], size + 1)
-        rec(i + 1, used, size)
-
-    rec(0, 0, 0)
-    return best
-
-
 def _max_ppc_masks(masks: List[int]) -> int:
+    """Largest set of pairwise disjoint masks, extending each set by a
+    later disjoint mask in every possible way."""
     best = 0
 
     def rec(i: int, used: int, size: int) -> None:
@@ -60,6 +36,13 @@ def _max_ppc_masks(masks: List[int]) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def brute_max_ppc(design: Design, cap: int = 25) -> int:
+    """Maximum PPC size by enumerating every set of disjoint blocks."""
+    if design.b > cap:
+        raise TooLarge(f"{design.b} blocks exceeds the oracle cap of {cap}")
+    return _max_ppc_masks([(1 << x) | (1 << y) | (1 << z) for x, y, z in design.blocks])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ maximum after all.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from .core import Block, Budget, Design, Exhausted, ToolkitError
 
@@ -152,6 +152,24 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     )
 
 
+def class_points(design: Design, blocks: Sequence[Block]) -> Set[int]:
+    """The points a claimed class covers.
+
+    Raises ValueError unless every block is a block of the design and no
+    two blocks share a point.
+    """
+    block_set = set(design.blocks)
+    covered: Set[int] = set()
+    for blk in blocks:
+        if tuple(sorted(blk)) not in block_set:
+            raise ValueError(f"class block {blk} is not in the design")
+        for p in blk:
+            if p in covered:
+                raise ValueError(f"class reuses point {p}")
+            covered.add(p)
+    return covered
+
+
 @dataclass(frozen=True)
 class ExtensionProfile:
     """How the points of a maximum PPC connect to the uncovered part.
@@ -193,17 +211,7 @@ def extension_profile(
         if not ppc.optimal:
             raise ValueError("profile needs a proven-maximum class")
         ppc = ppc.witness
-    covered = set()
-    for blk in ppc:
-        for p in blk:
-            if p in covered:
-                raise ValueError(f"ppc blocks overlap at point {p}")
-            covered.add(p)
-    block_set = set(design.blocks)
-    for blk in ppc:
-        if tuple(sorted(blk)) not in block_set:
-            raise ValueError(f"{blk} is not a block of the design")
-
+    covered = class_points(design, ppc)
     unc = set(range(design.v)) - covered
     t: Dict[int, int] = {p: 0 for p in sorted(covered)}
     for a, b, c in design.blocks:

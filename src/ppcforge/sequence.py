@@ -153,13 +153,15 @@ def sufficient_conditions(design: Design, rho: int) -> set:
     """Which of the known sequenceability guarantees apply, given the
     proven maximum PPC size rho.
 
-    C1: rho <= 3.  C2: v >= 15*rho - 5.  C3: v >= 9*rho + 22*rho^(2/3) + 10,
+    C1: rho <= 3 and v > 3*rho.  (At v = 3*rho the maximum class spans
+    every point, so the whole permutation is a window it partitions.)
+    C2: v >= 15*rho - 5.  C3: v >= 9*rho + 22*rho^(2/3) + 10,
     evaluated exactly: with m = v - 9*rho - 10, the condition is m >= 0 and
     m^3 >= 22^3 * rho^2 (cubing avoids any floating-point root).
     """
     v = design.v
     out = set()
-    if rho <= 3:
+    if rho <= 3 and v > 3 * rho:
         out.add("C1")
     if v >= 15 * rho - 5:
         out.add("C2")

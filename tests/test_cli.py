@@ -39,6 +39,13 @@ def test_construct_stdout_is_the_design(capsys):
     assert "maximum PPC = 2 verified" in stderr
 
 
+def test_construct_roundrobin_at_rho_half_ell(capsys):
+    rc, _, stderr = run(capsys, "construct", "--rho", "30", "--v", "90",
+                        "--strategy", "roundrobin")
+    assert rc == 0
+    assert "maximum PPC = 30 verified" in stderr
+
+
 def test_construct_parity_clash(capsys):
     rc, _, stderr = run(capsys, "construct", "--rho", "2", "--v", "9",
                         "--variant", "packed")

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from itertools import combinations, count
 
@@ -12,6 +13,7 @@ from ppcforge.onefactor import (
     OddOrder,
     RoomSquare,
     RowNotOneFactor,
+    rainbow_matching,
     room_from_text,
     room_square,
     room_to_text,
@@ -54,6 +56,29 @@ def test_generation_reproduces_the_stored_side7_square():
 
 def test_no_strong_starter_of_order_9():
     assert strong_starter(9) is None
+
+
+def test_side9_square_is_pinned():
+    text = room_to_text(room_square(9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "70b7df9c39bfa4c9b5192c07b37ac061092abd6cab4da4d6711ea639db22c4ea"
+    )
+
+
+def test_rainbow_matching_meets_each_factor_once():
+    for m in range(5, 2002, 2):
+        pairs = rainbow_matching(m + 1)
+        pts = sorted(p for (a, b), _ in pairs for p in (a, b))
+        assert pts == list(range(m + 1)), m  # perfect matching of K_{m+1}
+        for (a, b), r in pairs:
+            # {r, m} lies in factor r; {a, b} in factor r with 2r = a+b mod m
+            assert (r == a) if b == m else ((2 * r - a - b) % m == 0), (m, a, b)
+        assert len({r for _, r in pairs}) == len(pairs), m
+        if m < 60:
+            factors = pf.round_robin(m + 1).factors
+            assert all(e in factors[r] for e, r in pairs), m
+    with pytest.raises(Infeasible):
+        rainbow_matching(4)
 
 
 def test_square_does_not_depend_on_the_clock(monkeypatch):
@@ -132,7 +157,8 @@ def test_select_factors_4_2_infeasible():
 @pytest.mark.parametrize(
     "ell,rho,strategy",
     [(2, 1, "room"), (4, 1, "room"), (6, 2, "room"), (8, 3, "room"),
-     (10, 4, "roundrobin"), (12, 5, "room"), (14, 3, "roundrobin")],
+     (10, 4, "roundrobin"), (12, 5, "room"), (14, 3, "roundrobin"),
+     (24, 12, "roundrobin"), (60, 30, "roundrobin")],
 )
 def test_selection_postconditions(ell, rho, strategy):
     sel = pf.select_factors(ell, rho, strategy)

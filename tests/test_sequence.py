@@ -103,10 +103,22 @@ def test_guarantee_flags():
         (4, 60, {"C2"}),
         (7, 21, set()),
         (1, 41, {"C1", "C2", "C3"}),
+        (3, 9, set()),
+        (1, 3, set()),
     ]
     for rho, v, expected in table:
         d = pf.Design(v, ())
         assert pf.sufficient_conditions(d, rho) == expected, (rho, v)
+
+
+def test_every_flagged_grid_design_is_sequenced():
+    flagged = 0
+    for variant, rho, ell in pf.sweep_grid():
+        d = pf.FACTOR_JOINS[variant](rho, ell).design
+        if d.v <= 15 and pf.sufficient_conditions(d, rho):
+            flagged += 1
+            assert pf.find_sequencing(d).found, (variant, rho, ell)
+    assert flagged
 
 
 def test_cube_comparison_is_exact():
