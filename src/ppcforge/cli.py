@@ -148,6 +148,7 @@ def _cmd_sequence_find(args: argparse.Namespace) -> int:
         return 0
     if outcome.proven_nonsequenceable:
         print("nonsequenceable: the search space was exhausted")
+        print(f"proof: {outcome.proof}, {outcome.nodes} nodes", file=sys.stderr)
         return 2
     print("not found within budget (not a nonsequenceability proof)", file=sys.stderr)
     return 3

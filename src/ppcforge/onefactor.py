@@ -162,39 +162,35 @@ def strong_starter(n: int) -> Optional[List[Edge]]:
     when the whole space was searched (as happens for n = 9); raises
     ``Exhausted`` past ``STARTER_NODES`` nodes.
     """
-    half = (n - 1) // 2
-    used = [False] * n
-    class_used = [False] * (half + 1)
-    sum_used = [False] * n
     out: List[Edge] = []
     counter = Budget(STARTER_NODES, f"strong starter search for Z_{n}")
 
-    def rec() -> bool:
+    # Bitmasks over Z_n: free holds the unpaired elements, diffs the
+    # differences d whose class {d, n-d} is still open, sums the pair sums
+    # still open (0 never is).  The partners y > x of x that keep the pairs
+    # a strong starter form one mask: y - x in diffs, and x + y in sums,
+    # which is sums rotated down by x.
+    def rec(free: int, diffs: int, sums: int) -> bool:
         counter.tick()
-        x = next((e for e in range(1, n) if not used[e]), None)
-        if x is None:
+        if not free:
             return True
-        used[x] = True
-        for y in range(n - 1, x, -1):
-            if used[y]:
-                continue
-            d = (y - x) % n
-            cls = min(d, n - d)
-            if class_used[cls]:
-                continue
-            s = (x + y) % n
-            if s == 0 or sum_used[s]:
-                continue
-            used[y] = class_used[cls] = sum_used[s] = True
+        xbit = free & -free
+        x = xbit.bit_length() - 1
+        free ^= xbit
+        partners = free & (diffs << x) & ((sums >> x) | (sums << (n - x)))
+        while partners:
+            y = partners.bit_length() - 1
+            ybit = 1 << y
+            partners ^= ybit
+            cls = 1 << (y - x) | 1 << (n - y + x)
             out.append((x, y))
-            if rec():
+            if rec(free ^ ybit, diffs & ~cls, sums & ~(1 << (x + y) % n)):
                 return True
             out.pop()
-            used[y] = class_used[cls] = sum_used[s] = False
-        used[x] = False
         return False
 
-    return list(out) if rec() else None
+    rest = (1 << n) - 2  # 1..n-1
+    return list(out) if rec(rest, rest, rest) else None
 
 
 def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:

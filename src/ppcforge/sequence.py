@@ -5,11 +5,15 @@ A PSTS(v) is sequenceable when some permutation of its points has no run of
 union of t blocks.  Because blocks have size 3, "union of t blocks" on 3t
 points means an exact partition into t blocks, which is what the window
 check decides.  ``find_sequencing`` searches for such a permutation by
-prefix backtracking, pruning every prefix whose tail window partitions;
-``sufficient_conditions`` evaluates the known PPC-based guarantees under
-which a sequencing must exist.
+prefix backtracking, pruning every prefix whose tail window partitions.
+It proves a design nonsequenceable in one of two ways: a spanning class
+(v = 3t and the whole point set is a union of t blocks, so the last window
+of every permutation partitions) closes it at the root, and otherwise only
+an exhausted search tree does.  ``sufficient_conditions`` evaluates the
+known PPC-based guarantees under which a sequencing must exist.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,6 +22,10 @@ from .core import Budget, Design, Exhausted, ToolkitError
 
 class NotPermutation(ToolkitError):
     """The provided sequence is not a permutation of the design's points."""
+
+
+class SearchTooDeep(ToolkitError):
+    """The sequencing search nests deeper than Python's recursion limit."""
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,7 @@ class SearchOutcome:
     sequencing: Optional[Sequencing]
     proven_nonsequenceable: bool
     nodes: int
+    proof: Optional[str] = None  # "spanning class" or "exhaustion" when proven
 
     @property
     def found(self) -> bool:
@@ -102,49 +111,79 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
 
     A prefix dies as soon as any suffix window of it (length 3t ending at
     the newest point) is a union of t blocks, so every full permutation the
-    search emits is already valid.  ``proven_nonsequenceable`` is set only
-    when the whole tree was exhausted within budget -- no symmetry shortcuts
-    are taken, since sequencings are not closed under relabeling-free
-    transforms other than reversal.
+    search emits is already valid.  Children are tried in increasing point
+    order, so the sequencing returned is the first valid permutation in
+    lexicographic order.
+
+    ``proven_nonsequenceable`` is set by one of two proofs, named in
+    ``proof``.  When v is a multiple of 3 and the whole point set is a union
+    of v/3 blocks (a spanning class), the last window of every permutation
+    partitions, and the search closes at node 1 ("spanning class").
+    Otherwise a proof needs the whole tree exhausted within budget
+    ("exhaustion") -- no symmetry shortcuts are taken, since sequencings
+    are not closed under relabeling-free transforms other than reversal.
+    Raises ``SearchTooDeep`` when the search nests deeper than the
+    interpreter's recursion limit.
     """
     v = design.v
     oracle = _WindowOracle(design)
     counter = Budget(budget, "sequencing search")
-    prefix: List[int] = []
+    # bits of the placed points in order; the slot past the newest is 0
+    prefix = [0] * (v + 1)
+    # window of 3t-1 placed points -> [points tested with it, points that
+    # complete it to a union of t blocks, the window]; one entry per window
+    # for the whole search, so no (window, point) pair is tested twice
+    verdicts: Dict[int, List[int]] = {}
 
-    def extend(used: int) -> bool:
+    def extend(free: int, depth: int) -> bool:
         counter.tick()
-        depth = len(prefix)
         if depth == v:
             return True
-        for p in range(v):
-            bit = 1 << p
-            if used & bit:
-                continue
-            prefix.append(p)
-            ok = True
-            mask = 0
-            hi = depth + 1  # positions >= hi are already in mask
-            for t in range(1, (depth + 1) // 3 + 1):
-                lo = depth + 1 - 3 * t
-                for i in range(lo, hi):
-                    mask |= 1 << prefix[i]
-                hi = lo
-                if oracle.partitions(mask):
-                    ok = False
-                    break
-            if ok and extend(used | bit):
-                return True
-            prefix.pop()
+        windows = []  # verdicts of the last 3t-1 placed points, t = 1, 2, ...
+        candidates = free
+        base = 0
+        for lo in range(depth - 2, -1, -3):
+            base |= prefix[lo] | prefix[lo + 1] | prefix[lo + 2]
+            verdict = verdicts.get(base)
+            if verdict is None:
+                verdict = verdicts[base] = [0, 0, base]
+            else:
+                candidates &= ~verdict[1]
+            windows.append(verdict)
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            # a point already tested with a window does not complete it: the
+            # completers left candidates above, and no descendant shares these
+            # windows (each of its windows holds a point not placed here)
+            for verdict in windows:
+                if not verdict[0] & bit:
+                    verdict[0] |= bit
+                    if oracle.partitions(verdict[2] | bit):
+                        verdict[1] |= bit
+                        break
+            else:
+                prefix[depth] = bit
+                if extend(free ^ bit, depth + 1):
+                    return True
+        prefix[depth] = 0
         return False
 
     try:
-        found = extend(0)
+        if v % 3 == 0 and oracle.partitions((1 << v) - 1):
+            counter.tick()
+            return SearchOutcome(None, True, counter.nodes, "spanning class")
+        found = extend((1 << v) - 1, 0)
     except Exhausted:
         return SearchOutcome(None, False, counter.nodes)
+    except RecursionError:
+        raise SearchTooDeep(
+            f"sequencing search on {v} points nests deeper than the recursion "
+            f"limit of {sys.getrecursionlimit()}"
+        ) from None
     if not found:
-        return SearchOutcome(None, True, counter.nodes)
-    seq = check_sequencing(design, prefix)
+        return SearchOutcome(None, True, counter.nodes, "exhaustion")
+    seq = check_sequencing(design, [bit.bit_length() - 1 for bit in prefix[:v]])
     assert seq.valid
     return SearchOutcome(seq, False, counter.nodes)
 

@@ -259,7 +259,7 @@ def test_criterion_10_sequenceability(sweep):
           and proof.proven_nonsequenceable and elapsed < 300)
     report(10, ok, f"sequencings found and rechecked for all {checked} designs with "
                    f"rho <= 3, v <= 15, v > 3*rho ({elapsed:.1f}s); the single-block "
-                   f"system on 3 points is nonsequenceable by exhaustion")
+                   f"system on 3 points is proven nonsequenceable by its {proof.proof}")
 
 
 def test_criterion_11_gap_and_growth():

@@ -192,9 +192,19 @@ def test_sequence_check_v_mismatch(tmp_path, capsys):
 
 def test_sequence_find_proves_impossibility(tmp_path, capsys):
     dpath = write_design(tmp_path, pf.validate(3, [(0, 1, 2)]))
-    rc, stdout, _ = run(capsys, "sequence", "find", dpath)
+    rc, stdout, stderr = run(capsys, "sequence", "find", dpath)
     assert rc == 2
-    assert "nonsequenceable" in stdout
+    # stdout is the line every earlier release printed; the proof goes to stderr
+    assert stdout == "nonsequenceable: the search space was exhausted\n"
+    assert stderr == "proof: spanning class, 1 nodes\n"
+
+
+def test_sequence_find_past_the_recursion_limit_is_a_clean_error(tmp_path, capsys):
+    dpath = write_design(tmp_path, pf.validate(1200, [(0, 1, 2), (3, 4, 5)]))
+    rc, stdout, stderr = run(capsys, "sequence", "find", dpath)
+    assert rc == 1 and stdout == ""
+    assert stderr.startswith("error: sequencing search on 1200 points nests deeper")
+    assert stderr.count("\n") == 1
 
 
 def test_roomsquare_output_validates(capsys):

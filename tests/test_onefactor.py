@@ -58,11 +58,37 @@ def test_no_strong_starter_of_order_9():
     assert strong_starter(9) is None
 
 
-def test_side9_square_is_pinned():
-    text = room_to_text(room_square(9))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "70b7df9c39bfa4c9b5192c07b37ac061092abd6cab4da4d6711ea639db22c4ea"
-    )
+# sha256 of room_to_text(room_square(side)): side 9 is the stored square,
+# every other side develops the first strong starter in the search order
+ROOM_SQUARE_SHA256 = {
+    7: "51cb89e2049e97a2565a4a829cdd12e4989f11133c8e8d7a952327353d3c3ef1",
+    9: "70b7df9c39bfa4c9b5192c07b37ac061092abd6cab4da4d6711ea639db22c4ea",
+    11: "87ca255b5ac7adaa3265d4a911221737ed7e9f62ec2044dc343d95dde7bebeb3",
+    13: "1e6223919caf12ac63de22dfcd43163667ea03d378abcc670bc459f47f16e685",
+    15: "bf7e7ea6342a1bce9bc59b8500c80cdc6433ff2b7e7af7e829df426d42ed1765",
+    17: "6bf09350dcd3390d9b4d806fa63e57b84b145006e22e33abefcd328ae2e09c65",
+    19: "c16b75d5b3a72ba6ebde9d334f3d2ecaaee445e773b4ee50af7de32a765192b7",
+    21: "92962d51934b2dd4891253445e01ea044b248e0221ca7395abb5c8884708b25c",
+    23: "90515d3ce70bb6dafed54ac60843d8cf146a6bc33df83b30322caa67aa02dfa7",
+    25: "9a3344f94590984f11ef9cbb92488867564d746891f9ce48d2e85ebee90d08ba",
+    27: "86f03e25d33af4caadd233f5cae50e9883333a1d6df87f4d320bd098418c700d",
+    29: "a5f4f6a46c6489d81ebe163a2f80e48a85880e5e0891c48bb3c885f93634022c",
+    31: "0ae8d3cf5e688c2ed80b93b225f2628be3cec96d5ccadcc6706a40593e744de8",
+    33: "b84a55a66a1a448ca5a27a96ad22cc22a8b1c4f956d4a224c236093641bec242",
+    35: "5d1d2432c1b4988cb6b769fb15311e0cc6440e5d71a75b935b600e72e194a9c2",
+    37: "c85b78d250222e6338fec2e1c1bd224bbff7a7ac7a13f99b6b3926a179794c98",
+    39: "03ecd3d7a77e5900d3a17b621b2e5249a20c2e0fc9ae1ff27fdf8ae942cc862a",
+    41: "47e350e2b1229b00bb421f0a1c1a2e4cf9f0c43520c99160a07ee56e718edc22",
+    43: "3f21fdc0eeffc64263fff1ba3b945adcfa0f931ffabe8d29e240af04efcceac3",
+    45: "abd458fa116b4619283c52c9a2a2c1166006056315ed07b20d7bfacd425048af",
+    47: "6e25117f36b1a2602107ba4379f45461c46fba8b08c5112bbd9e0bf48b26d6c4",
+}
+
+
+def test_room_squares_are_pinned():
+    for side, digest in ROOM_SQUARE_SHA256.items():
+        text = room_to_text(room_square(side))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, side
 
 
 def test_rainbow_matching_meets_each_factor_once():

@@ -51,14 +51,45 @@ def test_find_sequencing_psts10():
     assert out.found and out.sequencing.valid
 
 
-def test_proof_of_nonsequenceability_needs_exhaustion():
-    d = psts3()
-    out = pf.find_sequencing(d)
-    assert not out.found
-    assert out.proven_nonsequenceable
-    # a budget too small to exhaust the tree must not claim a proof
-    starved = pf.find_sequencing(d, budget=2)
+def test_spanning_class_certifies_nonsequenceability(bose9):
+    # v = 3 * (v/3) and the points split into v/3 blocks: the last window of
+    # every permutation partitions, so the proof needs no search
+    for d in (psts3(), bose9.design):
+        out = pf.find_sequencing(d)
+        assert not out.found and out.proven_nonsequenceable
+        assert out.proof == "spanning class" and out.nodes == 1
+    # a budget too small for even the root node must not claim a proof
+    starved = pf.find_sequencing(psts3(), budget=0)
     assert not starved.found and not starved.proven_nonsequenceable
+    # v not a multiple of 3: disjoint blocks on all points but one or two
+    # certify nothing, and a sequencing exists
+    for v, blocks in ((4, [(0, 1, 2)]), (7, [(0, 1, 2), (3, 4, 5)]),
+                      (8, [(0, 1, 2), (3, 4, 5)]), (10, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])):
+        out = pf.find_sequencing(pf.validate(v, blocks))
+        assert out.found and out.proof is None and out.nodes > 1, v
+
+
+@given(designs(max_v=7, max_blocks=7))
+@settings(max_examples=40, deadline=None)
+def test_search_returns_the_first_valid_permutation(design):
+    first = next((perm for perm in itertools.permutations(range(design.v))
+                  if pf.check_sequencing(design, perm).valid), None)
+    out = pf.find_sequencing(design)
+    assert out.proven_nonsequenceable == (first is None)
+    assert (out.sequencing.perm if out.found else None) == first
+    if out.proof == "spanning class":
+        assert design.v % 3 == 0 and out.nodes == 1
+
+
+def test_node_counts_are_pinned(example11):
+    # the search tree is fixed: same children, same order, same node count
+    for design, nodes, perm in (
+        (example11.design, 22, (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10)),
+        (pf.factor_join_packed(5, 12).design, 236_102,
+         (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 15, 14, 16)),
+    ):
+        out = pf.find_sequencing(design, budget=300_000)
+        assert (out.nodes, out.sequencing.perm) == (nodes, perm)
 
 
 def test_exhausted_search_stops_at_the_node_past_its_budget():
@@ -115,10 +146,21 @@ def test_every_flagged_grid_design_is_sequenced():
     flagged = 0
     for variant, rho, ell in pf.sweep_grid():
         d = pf.FACTOR_JOINS[variant](rho, ell).design
-        if d.v <= 15 and pf.sufficient_conditions(d, rho):
+        if pf.sufficient_conditions(d, rho):
             flagged += 1
             assert pf.find_sequencing(d).found, (variant, rho, ell)
-    assert flagged
+    assert flagged == 90
+
+
+def test_every_grid_design_with_a_spanning_class_is_proven_at_once():
+    spanning = 0
+    for variant, rho, ell in pf.sweep_grid():
+        d = pf.FACTOR_JOINS[variant](rho, ell).design
+        if d.v == 3 * rho:
+            spanning += 1
+            out = pf.find_sequencing(d)
+            assert out.proven_nonsequenceable and out.nodes == 1, (variant, rho, ell)
+    assert spanning == 8
 
 
 def test_cube_comparison_is_exact():
