@@ -9,6 +9,10 @@ brute-force oracles.  Exit codes: 0 success, 1 usage or I/O problem,
 Machine-readable output (design files, ``--format rows`` tables, square and
 sequencing files) is deterministic for fixed flags; wall-clock timings go
 to stderr only.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+the parser on its first call and reuses it; ``PPCFORGE_BUDGET`` is read on
+every call and fills in ``--budget`` wherever the flag is not given.
 """
 
 import argparse
@@ -209,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "squares, sequencings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    budget = _default_budget()
 
     p = sub.add_parser("construct", help="build a PSTS(v) whose maximum PPC is rho")
     p.add_argument("--rho", type=int, required=True)
@@ -223,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         "v-rho); trimmed: packed then one point deleted (default for odd v-rho)",
     )
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("solve-ppc", help="exact maximum PPC of a design file")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="validate a design file and its embedded class")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = seq_sub.add_parser("find")
     pf.add_argument("file")
     pf.add_argument("--out", default=None)
-    pf.add_argument("--budget", type=int, default=budget)
+    pf.add_argument("--budget", type=int, default=None)
     pf.set_defaults(func=_cmd_sequence_find)
     pc = seq_sub.add_parser("check")
     pc.add_argument("file")
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = orc_sub.add_parser("beta")
     po.add_argument("--rho", type=int, required=True)
     po.add_argument("--v", type=int, required=True)
-    po.add_argument("--budget", type=int, default=budget)
+    po.add_argument("--budget", type=int, default=None)
     po.set_defaults(func=_cmd_oracle_beta)
 
     p = sub.add_parser("check-sts27", help="verify the stored sum-zero triples")
@@ -277,15 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    # read on every call, so the environment may change between calls
+    budget = _default_budget()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses status 2 for usage errors; 2 means verification
         # failure here, so fold usage problems into the generic error code
         code = exc.code if isinstance(exc.code, int) else 1
         return 1 if code == 2 else code
+    if getattr(args, "budget", None) is None:
+        args.budget = budget
     try:
         return args.func(args)
     except Exhausted as exc:

@@ -71,7 +71,11 @@ def greedy_transversal(design: Design) -> Tuple[int, ...]:
     unmet = (1 << design.b) - 1
     cover = []
     while unmet:
-        x = max(range(design.v), key=lambda p: ((through[p] & unmet).bit_count(), -p))
+        x, most = -1, 0
+        for p in range(design.v):
+            deg = (through[p] & unmet).bit_count()
+            if deg > most:  # strict: the lowest label wins a tie
+                x, most = p, deg
         cover.append(x)
         unmet &= ~through[x]
     return tuple(sorted(cover))
@@ -91,9 +95,11 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     blocks, lowest label on ties: either some block through that point
     joins the class, or the point is skipped, which discards every block
     through it.  A point is free while some usable block passes through it,
-    and the bound ``chosen + free_points // 3`` prunes.  If the node budget
-    runs out, the best class found so far is returned with
-    ``optimal=False``.
+    and the bound ``chosen + free_points // 3`` prunes.  Usable blocks only
+    shrink down the tree, so a point once dead stays dead: each node scans
+    just the points still free at its parent and hands its own free points,
+    in increasing order, to its children.  If the node budget runs out, the
+    best class found so far is returned with ``optimal=False``.
     """
     v = design.v
     blocks = design.blocks
@@ -107,19 +113,20 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
 
-    def rec(usable: int) -> None:
+    def rec(usable: int, live: Sequence[int]) -> None:
         nonlocal best, best_size
         counter.tick()
         if best_size == len(cover):  # no class outgrows a transversal
             return
-        x, fewest, free = -1, 0, 0
-        for p in range(v):
+        x, fewest = -1, len(blocks) + 1
+        alive: List[int] = []
+        for p in live:
             deg = (through[p] & usable).bit_count()
             if deg:
-                free += 1
-                if x < 0 or deg < fewest:
+                alive.append(p)
+                if deg < fewest:
                     x, fewest = p, deg
-        if len(chosen) + free // 3 <= best_size:
+        if len(chosen) + len(alive) // 3 <= best_size:
             return
         if x < 0:
             if len(chosen) > best_size:
@@ -132,15 +139,15 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
             scan ^= low
             i = low.bit_length() - 1
             chosen.append(i)
-            rec(usable & ~clash[i])
+            rec(usable & ~clash[i], alive)
             chosen.pop()
         # skipping x discards every block through it
-        rec(usable & ~through[x])
+        rec(usable & ~through[x], alive)
 
     optimal = True
     if blocks:
         try:
-            rec((1 << len(blocks)) - 1)
+            rec((1 << len(blocks)) - 1, range(v))
         except Exhausted:
             optimal = False
     return PpcResult(

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ppcforge as pf
+import ppcforge.cli as cli
 from ppcforge.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -119,6 +120,32 @@ def test_budget_env_garbage_is_ignored(capsys, monkeypatch):
     rc, stdout, stderr = run(capsys, "check-sts27")
     assert rc == 0
     assert "ignoring non-integer PPCFORGE_BUDGET" in stderr
+
+
+def test_parser_built_once_env_budget_read_per_call(tmp_path, capsys, monkeypatch, fano):
+    built, real_build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.delenv("PPCFORGE_BUDGET", raising=False)
+    path = write_design(tmp_path, fano)
+    assert run(capsys, "solve-ppc", path)[0] == 0
+    monkeypatch.setenv("PPCFORGE_BUDGET", "2")
+    assert run(capsys, "solve-ppc", path)[0] == 3
+    monkeypatch.setenv("PPCFORGE_BUDGET", "plenty")
+    assert run(capsys, "check-sts27")[0] == 0
+    assert len(built) == 1
+    # the warning comes on every call, not just the one that built the
+    # parser, and also when an explicit flag makes the variable moot
+    for argv in (["check-sts27"], ["solve-ppc", path, "--budget", "1000000"]):
+        rc, _, stderr = run(capsys, *argv)
+        assert rc == 0
+        assert "ignoring non-integer PPCFORGE_BUDGET='plenty'" in stderr
+    assert len(built) == 1
 
 
 def test_verify_accepts_the_frozen_file(capsys):

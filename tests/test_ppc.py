@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -120,6 +121,62 @@ def test_branching_matches_oracle_up_to_20_blocks():
         assert r.optimal and r.size == pf.brute_max_ppc(d)
         searched += r.nodes > 1
     assert searched >= 40
+
+
+def random_psts(rng, v, b):
+    """``b`` random triples on ``v`` points, no pair in two of them."""
+    blocks, pairs = [], set()
+    while len(blocks) < b:
+        t = tuple(sorted(rng.sample(range(v), 3)))
+        tp = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+        if tp & pairs:
+            continue
+        pairs |= tp
+        blocks.append(t)
+    return pf.validate(v, blocks)
+
+
+def seeded_psts30():
+    """Two seeded random PSTS(30) for each b from 30 to 60."""
+    rng = random.Random("solver-pin")
+    return [random_psts(rng, 30, b) for b in range(30, 61) for _ in range(2)]
+
+
+def test_search_tree_is_pinned():
+    # sha256 of (size, witness, nodes, cover) over 62 sparse PSTS(30) that
+    # all need a search (6,027 nodes in all); any change to the branching
+    # point, the free-point count or the pruning moves the node counts
+    digest = hashlib.sha256()
+    for d in seeded_psts30():
+        r = pf.solve_max_ppc(d)
+        assert r.optimal and r.nodes > 1
+        digest.update(repr((r.size, r.witness, r.nodes, r.cover)).encode())
+    assert digest.hexdigest() == (
+        "760165b1b70f71d7ac2b8dd434ddd81b8c27836a821e80ceb24ceb559e5afa32"
+    )
+
+
+def max_key_transversal(design):
+    """The greedy transversal as a max over points keyed on (unmet count, -label)."""
+    through = [{i for i, blk in enumerate(design.blocks) if p in blk} for p in range(design.v)]
+    unmet = set(range(design.b))
+    cover = []
+    while unmet:
+        x = max(range(design.v), key=lambda p: (len(through[p] & unmet), -p))
+        cover.append(x)
+        unmet -= through[x]
+    return tuple(sorted(cover))
+
+
+def test_greedy_transversal_matches_max_key_rule(sweep):
+    rng = random.Random(8)
+    small = []
+    for _ in range(100):
+        v = rng.randint(9, 16)
+        triples = rng.sample(list(combinations(range(v), 3)), rng.randint(1, 40))
+        small.append(pf.validate(v, linear_subset(triples)))
+    for d in seeded_psts30() + small + [w.design for _, _, _, w, _ in sweep]:
+        assert pf.greedy_transversal(d) == max_key_transversal(d)
 
 
 def test_profile_on_example(example11):
