@@ -9,15 +9,8 @@ rho=2, v=6).
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import ppcforge as pf
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    v_max: int = 8
-    budget: int = 50_000_000
 
 
 def main() -> int:
@@ -26,13 +19,12 @@ def main() -> int:
                     help="largest point count to enumerate (oracle cap: 8)")
     ap.add_argument("--budget", type=int, default=50_000_000)
     args = ap.parse_args()
-    cfg = OracleConfig(args.v_max, args.budget)
 
     print(f"{'rho':>3} {'v':>3} {'beta':>5} {'lower':>5} {'upper':>5} "
           f"{'nodes':>9}  notes")
-    for v in range(3, cfg.v_max + 1):
+    for v in range(3, args.v_max + 1):
         for rho in range(1, v // 3 + 1):
-            res = pf.brute_beta(rho, v, budget=cfg.budget)
+            res = pf.brute_beta(rho, v, budget=args.budget)
             lo, up = pf.beta_lower(rho, v), pf.beta_upper(rho, v)
             notes = []
             if not res.complete:

@@ -19,7 +19,6 @@ def main() -> int:
     ap.add_argument("--rho-max", type=int, default=5)
     ap.add_argument("--ell-max", type=int, default=24)
     ap.add_argument("--budget", type=int, default=20_000_000)
-    ap.add_argument("--strategy", choices=("room", "roundrobin"), default="room")
     args = ap.parse_args()
 
     print(f"{'variant':8} {'rho':>3} {'ell':>3} {'v':>3} {'b':>4} {'maxPPC':>6} "
@@ -28,7 +27,7 @@ def main() -> int:
     t_all = time.perf_counter()
     for kind, rho, ell in pf.sweep_grid(args.rho_max, args.ell_max):
         t0 = time.perf_counter()
-        witness = pf.FACTOR_JOINS[kind](rho, ell, strategy=args.strategy)
+        witness = pf.FACTOR_JOINS[kind](rho, ell)
         solved = pf.solve_max_ppc(witness.design, budget=args.budget)
         dt = time.perf_counter() - t0
         mark = ""

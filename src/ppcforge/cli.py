@@ -77,7 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    witness = construct_mod.FACTOR_JOINS[variant](rho, ell, strategy=args.strategy)
+    witness = construct_mod.FACTOR_JOINS[variant](rho, ell)
     result = solve_max_ppc(witness.design, budget=args.budget)
     if not result.optimal:
         print("solver budget exhausted before proving the maximum", file=sys.stderr)
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a PSTS(v) whose maximum PPC is rho")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--strategy", choices=("room", "roundrobin"), default="room")
     p.add_argument(
         "--variant",
         choices=tuple(construct_mod.FACTOR_JOINS),

@@ -72,12 +72,12 @@ def _apex_blocks(sel: FactorSelection, rho: int, ell: int) -> List[Block]:
     return out
 
 
-def factor_join(rho: int, ell: int, strategy: str = "room") -> ConstructionWitness:
+def factor_join(rho: int, ell: int) -> ConstructionWitness:
     """PSTS(rho + ell) with rho*ell/2 blocks and maximum PPC exactly rho.
 
     Requires ell even, ell >= 2*rho, (ell, rho) != (4, 2).
     """
-    sel = select_factors(ell, rho, strategy)
+    sel = select_factors(ell, rho)
     v = rho + ell
     blocks = _apex_blocks(sel, rho, ell)
     assert len(blocks) == rho * ell // 2
@@ -86,9 +86,7 @@ def factor_join(rho: int, ell: int, strategy: str = "room") -> ConstructionWitne
     return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
 
 
-def factor_join_packed(
-    rho: int, ell: int, strategy: str = "room"
-) -> ConstructionWitness:
+def factor_join_packed(rho: int, ell: int) -> ConstructionWitness:
     """PSTS(rho + ell) with rho*ell/2 + D(rho) blocks and maximum PPC rho.
 
     The extra blocks are a maximum packing placed on the apex points; they
@@ -99,7 +97,7 @@ def factor_join_packed(
     of U among themselves.  That is promised only for rho = 1 or
     ell = 2*rho; the factors chosen here need not reach it otherwise.
     """
-    sel = select_factors(ell, rho, strategy)
+    sel = select_factors(ell, rho)
     v = rho + ell
     blocks = _apex_blocks(sel, rho, ell)
     for p, q, r in max_packing(rho).blocks:
@@ -110,9 +108,7 @@ def factor_join_packed(
     return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
 
 
-def factor_join_odd(
-    rho: int, ell: int, strategy: str = "room"
-) -> ConstructionWitness:
+def factor_join_odd(rho: int, ell: int) -> ConstructionWitness:
     """PSTS(rho + ell - 1) with rho*ell/2 + D(rho) - rho blocks, max PPC rho.
 
     Start from ``factor_join_packed(rho, ell)`` with ell > 2*rho, delete the
@@ -121,7 +117,7 @@ def factor_join_odd(
     untouched (its blocks only use representative points), so the maximum
     PPC is still exactly rho.
     """
-    packed = factor_join_packed(rho, ell, strategy)
+    packed = factor_join_packed(rho, ell)
     rep_points = {p for blk in packed.witness_ppc for p in blk if p < ell}
     eligible = [x for x in range(ell) if x not in rep_points]
     if not eligible:

@@ -10,21 +10,23 @@ none exist for sides 3 and 5.
 
 Squares are produced by a starter-adder construction over the cyclic group
 Z_n from a strong starter, which an exhaustive search finds for every odd
-n >= 7 except 9.  The search counts nodes against a fixed limit and raises
-``Exhausted`` past it, so the square depends only on the side.  Z_9 has no
-strong starter, and side 9 is a stored square; side 7 has a stored
+n from 7 to 51 except 9.  The search counts nodes against a fixed limit and
+raises ``Exhausted`` past it, so the square depends only on the side.  Z_9
+has no strong starter, and side 9 is a stored square; side 7 has a stored
 reference square too, which the search reproduces cell for cell.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
-edges e_j in F_j that are pairwise vertex-disjoint.  For ell >= 8 the rows
-of a Room square of side ell-1 with a filled first-column cell supply both
-the factors and the representatives (the first column is itself a
-one-factor, which makes the representatives independent).  Alternatively,
-a perfect matching that meets every factor of ``round_robin`` at most once
-(``rainbow_matching``, in closed form) supplies the representatives and
-picks the factors.  No selection exists for (ell, rho) = (4, 2): disjoint
-edges of K_4 share a one-factor.
+edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
+the rule.  For 8 <= ell <= 52 the rows of a Room square of side ell-1 with
+a filled first-column cell supply both the factors and the representatives
+(the first column is itself a one-factor, which makes the representatives
+independent).  For ell = 6 and past 52, where the strong starter search
+gives out, a perfect matching that meets every factor of ``round_robin`` at
+most once (``rainbow_matching``, in closed form) supplies the
+representatives and picks the factors, with the points relabelled so that
+the matching is {0,1}, {2,3}, ...  No selection exists for (ell, rho) =
+(4, 2): disjoint edges of K_4 share a one-factor.
 """
 
 from dataclasses import dataclass
@@ -36,9 +38,12 @@ from .core import Budget, ParseError, ToolkitError
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
 
-# Node limit of the strong starter search; sides up to 51 find a strong
-# starter within it.
+# Node limit of the strong starter search.
 STARTER_NODES = 2_000_000
+# Largest order whose factors come from a Room square: every odd side up to
+# 51 finds a strong starter within STARTER_NODES (side 51 takes 1,617,930
+# nodes), and none from 53 to 85 does.
+ROOM_MAX_ORDER = 52
 
 
 class OddOrder(ToolkitError):
@@ -118,15 +123,17 @@ def round_robin(ell: int) -> OneFactorization:
         raise OddOrder(f"need an even order >= 2, got {ell}")
     if ell == 2:
         return OneFactorization(2, (((0, 1),),))
+    return OneFactorization(ell, tuple(_circle_factor(ell, r) for r in range(ell - 1)))
+
+
+def _circle_factor(ell: int, r: int) -> Factor:
+    """Factor r of ``round_robin(ell)``, ell >= 4."""
     m = ell - 1
-    factors = []
-    for r in range(m):
-        edges = [(r, m)]
-        for k in range(1, ell // 2):
-            a, b = (r - k) % m, (r + k) % m
-            edges.append((min(a, b), max(a, b)))
-        factors.append(tuple(sorted(edges)))
-    return OneFactorization(ell, tuple(factors))
+    edges = [(r, m)]
+    for k in range(1, ell // 2):
+        a, b = (r - k) % m, (r + k) % m
+        edges.append((min(a, b), max(a, b)))
+    return tuple(sorted(edges))
 
 
 def rainbow_matching(ell: int) -> List[Tuple[Edge, int]]:
@@ -347,27 +354,21 @@ def room_from_text(text: str) -> RoomSquare:
     return RoomSquare(side, tuple(rows))
 
 
-# The three explicit factors used for ell = 6, with their independent
-# representative edges 0-3, 4-5, 1-2.  (K_6 has a one-factorization but the
-# round-robin one is awkward for representatives, so these are pinned.)
-_ELL6_FACTORS: Tuple[Factor, ...] = (
-    ((0, 3), (1, 4), (2, 5)),
-    ((0, 1), (2, 3), (4, 5)),
-    ((0, 5), (1, 2), (3, 4)),
-)
-_ELL6_REPS: Tuple[Edge, ...] = ((0, 3), (4, 5), (1, 2))
-
-
-def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelection:
+def select_factors(ell: int, rho: int) -> FactorSelection:
     """Pick rho edge-disjoint one-factors of K_ell plus independent reps.
 
     Preconditions: ell even, 1 <= rho <= ell/2, and (ell, rho) != (4, 2),
-    which is infeasible.  Strategies: ``room`` (default, ell >= 8) reads the
-    factors off Room square rows whose first-column cell is filled;
-    ``roundrobin`` takes the first rho edges of ``rainbow_matching`` as the
-    representatives and the circle-method factors through them, in closed
-    form for every order.  Orders 2, 4, and 6 use fixed explicit factors
-    regardless of strategy.
+    which is infeasible.  The order alone picks the rule:
+
+    * ell <= 4: the first round-robin factor and its first edge;
+    * 8 <= ell <= ROOM_MAX_ORDER: the Room square rows of side ell-1 whose
+      first-column cell is filled, that cell being the representative;
+    * ell = 6 and ell > ROOM_MAX_ORDER: the round-robin factors through the
+      first rho edges of ``rainbow_matching``, with the points relabelled so
+      that the matching's j-th edge is {2j, 2j+1} and serves as rep j.
+
+    The relabelling puts the reps first in block order, so first-fit over
+    the sorted blocks of a factor join takes exactly the witness class.
     """
     if ell < 2 or ell % 2:
         raise OddOrder(f"need an even order >= 2, got {ell}")
@@ -375,14 +376,10 @@ def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelectio
         raise Infeasible(f"need 1 <= rho <= ell/2, got rho={rho}, ell={ell}")
     if (ell, rho) == (4, 2):
         raise Infeasible("two vertex-disjoint edges of K_4 lie in one one-factor")
-    if ell == 2:
-        return FactorSelection(2, (((0, 1),),), ((0, 1),))
-    if ell == 4:
-        factor = round_robin(4).factors[0]
-        return FactorSelection(4, (factor,), (factor[0],))
-    if ell == 6:
-        return FactorSelection(6, _ELL6_FACTORS[:rho], _ELL6_REPS[:rho])
-    if strategy == "room":
+    if ell <= 4:
+        factor = round_robin(ell).factors[0]
+        return FactorSelection(ell, (factor,), (factor[0],))
+    if 8 <= ell <= ROOM_MAX_ORDER:
         square = room_square(ell - 1)
         factors, reps = [], []
         for r in range(square.side):
@@ -394,10 +391,16 @@ def select_factors(ell: int, rho: int, strategy: str = "room") -> FactorSelectio
             if len(factors) == rho:
                 break
         return FactorSelection(ell, tuple(factors), tuple(reps))
-    if strategy == "roundrobin":
-        factors = round_robin(ell).factors
-        picked = rainbow_matching(ell)[:rho]
-        return FactorSelection(
-            ell, tuple(factors[r] for _, r in picked), tuple(e for e, _ in picked)
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
+    matching = rainbow_matching(ell)
+    label = [0] * ell
+    for j, ((a, b), _) in enumerate(matching):
+        label[a], label[b] = 2 * j, 2 * j + 1
+
+    def relabelled(factor: Factor) -> Factor:
+        return tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in factor))
+
+    return FactorSelection(
+        ell,
+        tuple(relabelled(_circle_factor(ell, r)) for _, r in matching[:rho]),
+        tuple((2 * j, 2 * j + 1) for j in range(rho)),
+    )

@@ -40,11 +40,13 @@ def test_construct_stdout_is_the_design(capsys):
     assert "maximum PPC = 2 verified" in stderr
 
 
-def test_construct_roundrobin_at_rho_half_ell(capsys):
-    rc, _, stderr = run(capsys, "construct", "--rho", "30", "--v", "90",
-                        "--strategy", "roundrobin")
+@pytest.mark.parametrize("rho,v", [(30, 90), (27, 81), (2, 56)])
+def test_construct_past_the_room_squares(capsys, rho, v):
+    # ell = v - rho >= 54 is past the sides whose strong starter the search
+    # finds; the relabelled rainbow matching needs no square
+    rc, _, stderr = run(capsys, "construct", "--rho", str(rho), "--v", str(v))
     assert rc == 0
-    assert "maximum PPC = 30 verified" in stderr
+    assert f"maximum PPC = {rho} verified" in stderr
 
 
 def test_construct_parity_clash(capsys):
