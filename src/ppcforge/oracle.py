@@ -12,7 +12,7 @@ rho.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .core import Block, Budget, Design, Exhausted, ToolkitError
 
@@ -61,7 +61,10 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
     can be relabeled to contain it, and relabeling changes neither the
     block count nor the maximum PPC.  A branch dies when its maximum PPC
     already exceeds rho (adding blocks never shrinks the maximum), and a
-    bound on the remaining compatible triples prunes hopeless chains.
+    bound on the remaining compatible triples prunes hopeless chains.  Each
+    triple's three pairs {a, b} are the bits a*v + b of one mask, and a
+    chain's compatible triples are its parent's, past the new triple,
+    whose pairs miss the new triple's.
     """
     if v > cap:
         raise TooLarge(f"v={v} exceeds the oracle cap of {cap}")
@@ -69,66 +72,43 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
         raise ValueError(f"need 1 <= rho and v >= 3*rho, got rho={rho}, v={v}")
 
     triples: List[Block] = list(combinations(range(v), 3))
-    tri_mask = {t: (1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in triples}
-
-    def pairs(t: Block) -> List[Tuple[int, int]]:
-        a, b, c = t
-        return [(a, b), (a, c), (b, c)]
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triples]
+    pair_masks = [(1 << (a * v + b)) | (1 << (a * v + c)) | (1 << (b * v + c))
+                  for a, b, c in triples]
 
     counter = Budget(budget, "beta search")
     best_value = 0
     best_witness: Tuple[Block, ...] = ()
-    anchor = (0, 1, 2)
-
-    cur: List[Block] = []
-    cur_masks: List[int] = []
-    used_pairs: set = set()
+    cur: List[int] = [0]  # triple indices; triples[0] is the anchor (0,1,2)
 
     def max_ppc_with(new_mask: int) -> int:
         """Maximum PPC of cur + the new block, reusing that any improving
         class must contain the new block (older classes were already
         counted when their blocks arrived)."""
-        rest = [m for m in cur_masks if m & new_mask == 0]
+        rest = [masks[i] for i in cur if masks[i] & new_mask == 0]
         return 1 + _max_ppc_masks(rest)
 
-    def rec(start_idx: int, cur_max: int) -> None:
+    def rec(compat: List[int], cur_max: int) -> None:
         nonlocal best_value, best_witness
         counter.tick()
         if cur_max == rho and len(cur) > best_value:
             best_value = len(cur)
-            best_witness = tuple(cur)
+            best_witness = tuple(triples[i] for i in cur)
         # optimistic bound: every remaining compatible triple joins
-        compat = [
-            i
-            for i in range(start_idx, len(triples))
-            if not any(p in used_pairs for p in pairs(triples[i]))
-        ]
         if len(cur) + len(compat) <= best_value:
             return
-        for i in compat:
-            t = triples[i]
-            m = tri_mask[t]
-            new_max = max(cur_max, max_ppc_with(m))
+        for k, i in enumerate(compat):
+            new_max = max(cur_max, max_ppc_with(masks[i]))
             if new_max > rho:
                 continue
-            cur.append(t)
-            cur_masks.append(m)
-            for p in pairs(t):
-                used_pairs.add(p)
-            rec(i + 1, new_max)
-            for p in pairs(t):
-                used_pairs.discard(p)
-            cur_masks.pop()
+            pairs = pair_masks[i]
+            cur.append(i)
+            rec([j for j in compat[k + 1:] if not pair_masks[j] & pairs], new_max)
             cur.pop()
 
-    anchor_idx = triples.index(anchor)
-    cur.append(anchor)
-    cur_masks.append(tri_mask[anchor])
-    for p in pairs(anchor):
-        used_pairs.add(p)
     complete = True
     try:
-        rec(anchor_idx + 1, 1)
+        rec([j for j in range(1, len(triples)) if not pair_masks[j] & pair_masks[0]], 1)
     except Exhausted:
         complete = False
     return BetaResult(best_value, best_witness, counter.nodes, complete)

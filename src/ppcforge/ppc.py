@@ -88,8 +88,9 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     at the root, caps it: no class outgrows a transversal, so the search
     stops as soon as the incumbent is as large.  Every factor-join design
     has a transversal of size rho (its apex points), and its search closes
-    this way at node 1.  The transversal is then returned as ``cover``, an
-    optimality certificate checkable in O(b); otherwise ``cover`` is ().
+    this way at node 1 when the greedy transversal and class both reach
+    rho.  The transversal is then returned as ``cover``, an optimality
+    certificate checkable in O(b); otherwise ``cover`` is ().
 
     Below the root the search branches on the point with the fewest usable
     blocks, lowest label on ties: either some block through that point

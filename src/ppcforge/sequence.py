@@ -4,8 +4,13 @@ A PSTS(v) is sequenceable when some permutation of its points has no run of
 3t consecutive entries (for any t up to floor(v/3)) whose point set is a
 union of t blocks.  Because blocks have size 3, "union of t blocks" on 3t
 points means an exact partition into t blocks, which is what the window
-check decides.  ``find_sequencing`` searches for such a permutation by
-prefix backtracking, pruning every prefix whose tail window partitions.
+check decides.  The t blocks of such a window form a PPC, and each holds its
+own point of any transversal, so t <= nu <= tau: ``check_sequencing`` and
+the search look only at windows with t up to the size tau of one greedy
+transversal, and a window with fewer than t of its points is rejected
+before any exact-cover search.
+``find_sequencing`` searches for such a permutation by prefix backtracking,
+pruning every prefix whose tail window partitions.
 It proves a design nonsequenceable in one of two ways: a spanning class
 (v = 3t and the whole point set is a union of t blocks, so the last window
 of every permutation partitions) closes it at the root, and otherwise only
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Budget, Design, Exhausted, ToolkitError
+from .ppc import greedy_transversal
 
 
 class NotPermutation(ToolkitError):
@@ -52,7 +58,10 @@ class _WindowOracle:
 
     A mask partitions iff some block through its lowest point lies inside
     the mask and the remainder partitions.  Only blocks fully inside the
-    window can participate, which the subset test enforces for free.
+    window can participate, which the subset test enforces for free.  The
+    blocks of a partition are disjoint and each holds a point of the
+    transversal ``cover``, so a mask with fewer than |mask|/3 cover points
+    fails at once, and nothing is memoized for it.
     """
 
     def __init__(self, design: Design):
@@ -62,12 +71,17 @@ class _WindowOracle:
             self.by_point[a].append(m)
             self.by_point[b].append(m)
             self.by_point[c].append(m)
+        transversal = greedy_transversal(design)
+        self.tau = len(transversal)  # no window with t > tau partitions
+        self.cover = sum(1 << p for p in transversal)
         self.memo: Dict[int, bool] = {0: True}
 
     def partitions(self, mask: int) -> bool:
         known = self.memo.get(mask)
         if known is not None:
             return known
+        if 3 * (mask & self.cover).bit_count() < mask.bit_count():
+            return False
         p = (mask & -mask).bit_length() - 1
         ok = any(
             bm & mask == bm and self.partitions(mask & ~bm)
@@ -80,16 +94,17 @@ class _WindowOracle:
 def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     """Decide whether ``perm`` sequences the design.
 
-    Scans every window of 3t consecutive points for t = 1..floor(v/3); the
-    first window that is exactly a union of t blocks is reported as the
-    violation (t, start).
+    Scans every window of 3t consecutive points for t = 1..min(floor(v/3),
+    tau), tau the size of a greedy transversal (no window with t > tau can
+    partition); the first window that is exactly a union of t blocks is
+    reported as the violation (t, start).
     """
     v = design.v
     perm = tuple(perm)
     if sorted(perm) != list(range(v)):
         raise NotPermutation(f"expected a permutation of 0..{v - 1}")
     oracle = _WindowOracle(design)
-    for t in range(1, v // 3 + 1):
+    for t in range(1, min(v // 3, oracle.tau) + 1):
         width = 3 * t
         mask = 0
         for i in range(width):
@@ -122,56 +137,72 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
     Otherwise a proof needs the whole tree exhausted within budget
     ("exhaustion") -- no symmetry shortcuts are taken, since sequencings
     are not closed under relabeling-free transforms other than reversal.
-    Raises ``SearchTooDeep`` when the search nests deeper than the
+
+    Only windows with t up to the size tau of the oracle's transversal are
+    built: no other window partitions, so the tree is the one all windows
+    give.  Raises ``SearchTooDeep`` when the search nests deeper than the
     interpreter's recursion limit.
     """
     v = design.v
     oracle = _WindowOracle(design)
+    partitions = oracle.partitions
     counter = Budget(budget, "sequencing search")
-    # bits of the placed points in order; the slot past the newest is 0
-    prefix = [0] * (v + 1)
+    tick = counter.tick
+    # placed[d] holds the bits of the first d placed points, so the window of
+    # the placed points from position lo on is placed[depth] ^ placed[lo]
+    placed = [0] * (v + 1)
+    # starts[depth] lists those lo for the windows of 3t-1 placed points that
+    # a new point completes to 3t, for t = 1..tau in increasing order
+    starts = [tuple(range(d - 2, max(d - 3 * oracle.tau - 2, -1), -3)) for d in range(v)]
     # window of 3t-1 placed points -> [points tested with it, points that
     # complete it to a union of t blocks, the window]; one entry per window
     # for the whole search, so no (window, point) pair is tested twice
     verdicts: Dict[int, List[int]] = {}
+    lookup = verdicts.get
+
+    def completes(windows: List[List[int]], bit: int) -> bool:
+        # a point already tested with a window does not complete it: the
+        # completers left the candidates, and no descendant shares these
+        # windows (each of its windows holds a point not placed here)
+        for verdict in windows:
+            if not verdict[0] & bit:
+                verdict[0] |= bit
+                if partitions(verdict[2] | bit):
+                    verdict[1] |= bit
+                    return True
+        return False
 
     def extend(free: int, depth: int) -> bool:
-        counter.tick()
+        tick()
         if depth == v:
             return True
-        windows = []  # verdicts of the last 3t-1 placed points, t = 1, 2, ...
+        here = placed[depth]
         candidates = free
-        base = 0
-        for lo in range(depth - 2, -1, -3):
-            base |= prefix[lo] | prefix[lo + 1] | prefix[lo + 2]
-            verdict = verdicts.get(base)
+        seen = -1  # points every window has tested; they pass them all
+        for lo in starts[depth]:
+            base = here ^ placed[lo]
+            verdict = lookup(base)
             if verdict is None:
                 verdict = verdicts[base] = [0, 0, base]
-            else:
-                candidates &= ~verdict[1]
-            windows.append(verdict)
+            candidates &= ~verdict[1]
+            seen &= verdict[0]
+        windows = None  # verdicts of the last 3t-1 placed points, t = 1, 2, ...
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
-            # a point already tested with a window does not complete it: the
-            # completers left candidates above, and no descendant shares these
-            # windows (each of its windows holds a point not placed here)
-            for verdict in windows:
-                if not verdict[0] & bit:
-                    verdict[0] |= bit
-                    if oracle.partitions(verdict[2] | bit):
-                        verdict[1] |= bit
-                        break
-            else:
-                prefix[depth] = bit
-                if extend(free ^ bit, depth + 1):
-                    return True
-        prefix[depth] = 0
+            if not bit & seen:
+                if windows is None:
+                    windows = [verdicts[here ^ placed[lo]] for lo in starts[depth]]
+                if completes(windows, bit):
+                    continue
+            placed[depth + 1] = here | bit
+            if extend(free ^ bit, depth + 1):
+                return True
         return False
 
     try:
-        if v % 3 == 0 and oracle.partitions((1 << v) - 1):
-            counter.tick()
+        if v % 3 == 0 and partitions((1 << v) - 1):
+            tick()
             return SearchOutcome(None, True, counter.nodes, "spanning class")
         found = extend((1 << v) - 1, 0)
     except Exhausted:
@@ -183,7 +214,8 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
         ) from None
     if not found:
         return SearchOutcome(None, True, counter.nodes, "exhaustion")
-    seq = check_sequencing(design, [bit.bit_length() - 1 for bit in prefix[:v]])
+    perm = [(placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v)]
+    seq = check_sequencing(design, perm)
     assert seq.valid
     return SearchOutcome(seq, False, counter.nodes)
 

@@ -79,3 +79,29 @@ def test_beta_caps_and_domain():
 def test_beta_below_packing_number():
     for rho, v in [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7), (2, 8)]:
         assert brute_beta(rho, v).value <= pf.packing_number(v)
+
+
+# (rho, v) -> (value, witness, nodes) of the complete search, for every
+# v <= 8: the enumeration order fixes the witness and the node count
+BETA_PINS = {
+    (1, 3): (1, ((0, 1, 2),), 1),
+    (1, 4): (1, ((0, 1, 2),), 1),
+    (1, 5): (2, ((0, 1, 2), (0, 3, 4)), 4),
+    (1, 6): (4, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)), 23),
+    (2, 6): (2, ((0, 1, 2), (3, 4, 5)), 35),
+    (1, 7): (7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+                 (2, 3, 6), (2, 4, 5)), 202),
+    (2, 7): (5, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (2, 4, 6)), 479),
+    (1, 8): (7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+                 (2, 3, 6), (2, 4, 5)), 1456),
+    (2, 8): (8, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 7),
+                 (2, 4, 6), (2, 5, 7), (3, 6, 7)), 10401),
+}
+
+
+def test_beta_search_is_pinned():
+    assert set(BETA_PINS) == {(rho, v) for v in range(3, 9)
+                              for rho in range(1, v // 3 + 1)}
+    for (rho, v), pin in BETA_PINS.items():
+        res = brute_beta(rho, v)
+        assert res.complete and (res.value, res.witness, res.nodes) == pin, (rho, v)

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
-from ppcforge.sequence import NotPermutation
+from ppcforge.ppc import greedy_transversal
+from ppcforge.sequence import NotPermutation, _WindowOracle
 
 from conftest import designs
 
@@ -87,9 +90,24 @@ def test_node_counts_are_pinned(example11):
         (example11.design, 22, (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10)),
         (pf.factor_join_packed(5, 12).design, 236_102,
          (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 15, 14, 16)),
+        # tau = 11 < v/3 = 17: the windows with t > tau never partition, and
+        # their exact-cover memo would take over a GB, so none is built
+        (pf.factor_join(11, 40).design, 52, tuple(range(51))),
     ):
         out = pf.find_sequencing(design, budget=300_000)
         assert (out.nodes, out.sequencing.perm) == (nodes, perm)
+
+
+def test_grid_outcomes_are_pinned():
+    # sha256 of repr((found, perm, nodes, proof)) for every sweep-grid build
+    # at a 20k-node budget: the tree, its order and its proofs stay fixed
+    digest = hashlib.sha256()
+    for variant, rho, ell in pf.sweep_grid():
+        out = pf.find_sequencing(pf.FACTOR_JOINS[variant](rho, ell).design, budget=20_000)
+        perm = out.sequencing.perm if out.found else None
+        digest.update(repr((out.found, perm, out.nodes, out.proof)).encode())
+    assert digest.hexdigest() == (
+        "3af2f9a49e61a530d6fbe537791c1c9562605dd78bb00c01d85062c0d6860472")
 
 
 def test_exhausted_search_stops_at_the_node_past_its_budget():
@@ -125,6 +143,48 @@ def test_window_scan_matches_naive_recomputation(design):
     perm = tuple(reversed(range(design.v)))
     seq = pf.check_sequencing(design, perm)
     assert seq.violation == naive_check(design, perm)
+
+
+def test_window_scan_matches_naive_recomputation_past_the_transversal():
+    # tau < v/3, so check_sequencing stops at t = tau; the naive scan goes
+    # on to v/3 and must find no later violation
+    rng = random.Random(7)
+    # each first permutation has no block on 3 consecutive points, but its
+    # first six points are the union of two blocks: the violation has t = 2
+    for v, blocks, first in (
+        (12, [(0, 1, 2), (3, 4, 5)], (0, 3, 1, 4, 2, 5, 6, 7, 8, 9, 10, 11)),
+        (13, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (6, 7, 8)],
+         (0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11, 12)),
+    ):
+        d = pf.validate(v, blocks)
+        assert len(greedy_transversal(d)) < v // 3
+        perms = [first]
+        for _ in range(200):
+            perm = list(range(v))
+            rng.shuffle(perm)
+            perms.append(tuple(perm))
+        for perm in perms:
+            assert pf.check_sequencing(d, perm).violation == naive_check(d, perm), perm
+        assert pf.check_sequencing(d, perms[0]).violation == (2, 0)
+
+
+def test_window_oracle_rejects_masks_short_of_cover_points():
+    d = pf.factor_join(2, 8).design
+    oracle = _WindowOracle(d)
+    cover = set(greedy_transversal(d))
+    # a block with one cover point plus three points outside the cover: two
+    # disjoint blocks would need two cover points
+    block = next(blk for blk in d.blocks if len(cover & set(blk)) == 1)
+    window = block + tuple(p for p in range(d.v) if p not in cover and p not in block)[:3]
+    mask = sum(1 << p for p in window)
+    assert mask.bit_count() == 6 and len(cover & set(window)) == 1
+    assert not oracle.partitions(mask)
+    assert oracle.memo == {0: True}
+    # without the bound the same answer takes an exact-cover search
+    unbounded = _WindowOracle(d)
+    unbounded.cover = (1 << d.v) - 1
+    assert not unbounded.partitions(mask)
+    assert len(unbounded.memo) > 1
 
 
 def test_guarantee_flags():
