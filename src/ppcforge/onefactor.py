@@ -9,11 +9,14 @@ i.e. forms a one-factor.  Room squares of side n exist for every odd n >= 7;
 none exist for sides 3 and 5.
 
 Squares are produced by a starter-adder construction over the cyclic group
-Z_n from a strong starter, which an exhaustive search finds for every odd
-n from 7 to 51 except 9.  The search counts nodes against a fixed limit and
-raises ``Exhausted`` past it, so the square depends only on the side.  Z_9
-has no strong starter, and side 9 is a stored square; side 7 has a stored
-reference square too, which the search reproduces cell for cell.
+Z_n from a strong starter.  ``_STARTERS`` stores one for every odd n from 7
+to 51 except 9: the first that the exhaustive search ``strong_starter``
+finds, which the tests re-derive from the table.  So building a square
+searches nothing and depends only on the side.  Z_9 has no strong starter,
+and side 9 is a stored square; side 7 has a stored reference square too,
+which its starter reproduces cell for cell.  Room squares of every other
+odd side exist, but none is built here: the search finds no starter for
+any side from 53 to 129 within its node limit.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
@@ -21,11 +24,11 @@ edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
 the rule.  For 8 <= ell <= 52 the rows of a Room square of side ell-1 with
 a filled first-column cell supply both the factors and the representatives
 (the first column is itself a one-factor, which makes the representatives
-independent).  For ell = 6 and past 52, where the strong starter search
-gives out, a perfect matching that meets every factor of ``round_robin`` at
-most once (``rainbow_matching``, in closed form) supplies the
-representatives and picks the factors, with the points relabelled so that
-the matching is {0,1}, {2,3}, ...  No selection exists for (ell, rho) =
+independent).  For ell = 6 and past 52, where no strong starter is stored,
+a perfect matching that meets every factor of ``round_robin`` at most once
+(``rainbow_matching``, in closed form) supplies the representatives and
+picks the factors, with the points relabelled so that the matching is
+{0,1}, {2,3}, ...  No selection exists for (ell, rho) =
 (4, 2): disjoint edges of K_4 share a one-factor.
 """
 
@@ -40,9 +43,10 @@ Factor = Tuple[Edge, ...]
 
 # Node limit of the strong starter search.
 STARTER_NODES = 2_000_000
-# Largest order whose factors come from a Room square: every odd side up to
-# 51 finds a strong starter within STARTER_NODES (side 51 takes 1,617,930
-# nodes), and none from 53 to 85 does.
+# Largest order whose factors come from a Room square, one past the largest
+# stored starter.  Measured: the search finds a strong starter for every odd
+# side up to 51 within STARTER_NODES (side 51 takes 1,617,930 nodes), and
+# for no side from 53 to 129.
 ROOM_MAX_ORDER = 52
 
 
@@ -55,7 +59,7 @@ class BadSide(ToolkitError):
 
 
 class Unconstructible(ToolkitError):
-    """A search ran to completion without finding what it was to build."""
+    """The toolkit has no construction for what was asked."""
 
 
 class RoomValidationError(ToolkitError):
@@ -167,7 +171,9 @@ def strong_starter(n: int) -> Optional[List[Edge]]:
     serve as the adder).  Deterministic order: the smallest unused element is
     paired with candidate partners in descending order.  Returns None only
     when the whole space was searched (as happens for n = 9); raises
-    ``Exhausted`` past ``STARTER_NODES`` nodes.
+    ``Exhausted`` past ``STARTER_NODES`` nodes.  No square is built from
+    this search: ``room_square`` reads ``_STARTERS``, and the search is the
+    referee that re-derives that table.
     """
     out: List[Edge] = []
     counter = Budget(STARTER_NODES, f"strong starter search for Z_{n}")
@@ -200,6 +206,51 @@ def strong_starter(n: int) -> Optional[List[Edge]]:
     return list(out) if rec(rest, rest, rest) else None
 
 
+# Strong starters of Z_n, n odd from 7 to 51 except 9, as ``strong_starter``
+# finds them: pair by pair, the partner of the smallest unpaired element.
+_STARTERS = {
+    7: (5, 3, 6),
+    11: (8, 3, 10, 7, 9),
+    13: (11, 4, 7, 10, 12, 9),
+    15: (13, 11, 7, 12, 6, 10, 14),
+    17: (15, 13, 8, 5, 14, 11, 16, 12),
+    19: (17, 15, 13, 8, 16, 7, 14, 12, 18),
+    21: (19, 17, 15, 11, 9, 7, 16, 20, 14, 18),
+    23: (21, 19, 17, 20, 13, 11, 9, 18, 22, 16, 15),
+    25: (23, 21, 24, 17, 15, 11, 8, 20, 18, 19, 22, 16),
+    27: (25, 23, 26, 20, 18, 11, 15, 10, 21, 19, 22, 24, 17),
+    29: (27, 25, 28, 22, 20, 18, 16, 9, 12, 21, 26, 19, 23, 24),
+    31: (29, 27, 30, 28, 21, 19, 16, 20, 11, 24, 23, 14, 25, 22, 26),
+    33: (31, 29, 32, 30, 25, 23, 18, 20, 10, 16, 26, 28, 22, 24, 27, 21),
+    35: (33, 31, 34, 32, 27, 24, 19, 23, 20, 11, 26, 15, 30, 25, 22, 28, 29),
+    37: (35, 33, 36, 34, 29, 27, 25, 17, 21, 18, 13, 32, 28, 26, 31, 24, 30, 23),
+    39: (37, 35, 38, 36, 31, 29, 27, 25, 21, 19, 16, 13, 28, 33, 32, 26, 30, 24, 34),
+    41: (39, 37, 40, 38, 33, 31, 29, 26, 24, 20, 16, 13, 35, 32, 28, 30, 27, 23, 36,
+         34),
+    43: (41, 39, 42, 40, 35, 33, 31, 29, 27, 24, 20, 13, 16, 38, 32, 28, 36, 26, 30, 34,
+         37),
+    45: (43, 41, 44, 42, 37, 35, 33, 31, 39, 28, 25, 17, 22, 16, 36, 38, 30, 32, 29, 40,
+         34, 27),
+    47: (45, 43, 46, 44, 39, 37, 35, 33, 42, 30, 28, 23, 25, 22, 16, 40, 36, 34, 41, 31,
+         26, 32, 38),
+    49: (47, 45, 48, 46, 41, 39, 37, 35, 44, 31, 29, 23, 14, 27, 21, 42, 38, 36, 43, 32,
+         33, 40, 34, 30),
+    51: (49, 47, 50, 48, 43, 41, 39, 37, 46, 34, 32, 30, 28, 24, 17, 44, 19, 45, 33, 42,
+         40, 36, 31, 35, 38),
+}
+
+
+def _stored_starter(n: int) -> List[Edge]:
+    """Decode ``_STARTERS[n]`` into its pairs."""
+    free = (1 << n) - 2  # 1..n-1
+    pairs = []
+    for y in _STARTERS[n]:
+        xbit = free & -free
+        pairs.append((xbit.bit_length() - 1, y))
+        free ^= xbit | 1 << y
+    return pairs
+
+
 def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
     """Develop a strong starter through Z_n: pair i lands in cell
     (g, g + x_i + y_i) and the diagonal holds {g, n}."""
@@ -217,7 +268,7 @@ def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
 
 
 # Reference square of side 7 (the classic cyclic square; also what the
-# default strong-starter search produces).  Diagonal carries {i, 7}.
+# stored strong starter of Z_7 produces).  Diagonal carries {i, 7}.
 _SIDE7_CELLS = {
     (0, 0): (0, 7), (0, 3): (4, 6), (0, 5): (2, 3), (0, 6): (1, 5),
     (1, 0): (2, 6), (1, 1): (1, 7), (1, 4): (0, 5), (1, 6): (3, 4),
@@ -262,17 +313,20 @@ def room_square(side: int) -> RoomSquare:
 
     Sides must be odd and at least 7 (there is no Room square of side 3 or
     5, and side 1 is trivial and unused here).  Side 9 is the stored
-    square; every other side develops a strong starter of Z_side.
+    square, the other sides up to 51 develop the stored strong starter of
+    Z_side, and every larger side raises ``Unconstructible``.
     """
     if side % 2 == 0 or side < 7:
         raise BadSide(f"Room squares need an odd side >= 7, got {side}")
     if side == 9:
         square = _stored(9, _SIDE9_CELLS)
+    elif side in _STARTERS:
+        square = _square_from_starter(side, _stored_starter(side))
     else:
-        starter = strong_starter(side)
-        if starter is None:
-            raise Unconstructible(f"Z_{side} has no strong starter")
-        square = _square_from_starter(side, starter)
+        raise Unconstructible(
+            f"ppcforge builds Room squares of odd sides 7 to {ROOM_MAX_ORDER - 1} "
+            f"only (one exists for every odd side >= 7), got {side}"
+        )
     validate_room(square)
     return square
 
@@ -358,14 +412,17 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     """Pick rho edge-disjoint one-factors of K_ell plus independent reps.
 
     Preconditions: ell even, 1 <= rho <= ell/2, and (ell, rho) != (4, 2),
-    which is infeasible.  The order alone picks the rule:
+    which is infeasible.  The order alone picks the rule, and none
+    searches:
 
     * ell <= 4: the first round-robin factor and its first edge;
-    * 8 <= ell <= ROOM_MAX_ORDER: the Room square rows of side ell-1 whose
-      first-column cell is filled, that cell being the representative;
-    * ell = 6 and ell > ROOM_MAX_ORDER: the round-robin factors through the
-      first rho edges of ``rainbow_matching``, with the points relabelled so
-      that the matching's j-th edge is {2j, 2j+1} and serves as rep j.
+    * 8 <= ell <= ROOM_MAX_ORDER: the Room square rows of side ell-1 (a
+      stored square or a stored starter's) whose first-column cell is
+      filled, that cell being the representative;
+    * ell = 6 and ell > ROOM_MAX_ORDER, where no starter is stored: the
+      round-robin factors through the first rho edges of
+      ``rainbow_matching``, with the points relabelled so that the
+      matching's j-th edge is {2j, 2j+1} and serves as rep j.
 
     The relabelling puts the reps first in block order, so first-fit over
     the sorted blocks of a factor join takes exactly the witness class.

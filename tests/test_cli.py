@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -244,15 +245,35 @@ def test_roomsquare_output_validates(capsys):
     assert square.side == 9
 
 
-def test_construction_search_out_of_nodes_exits_three(monkeypatch, capsys):
+def test_strong_starter_search_out_of_nodes_raises(monkeypatch):
     monkeypatch.setattr(pf.onefactor, "STARTER_NODES", 10)
+    with pytest.raises(pf.Exhausted, match="strong starter search for Z_23 ran out of its 10 nodes"):
+        pf.onefactor.strong_starter(23)
+
+
+def test_construct_reads_stored_starters(monkeypatch, capsys):
+    def no_search(n):
+        raise AssertionError(f"strong_starter({n}) called")
+
+    monkeypatch.setattr(pf.onefactor, "strong_starter", no_search)
     pf.room_square.cache_clear()
     try:
         rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "27")
     finally:
         pf.room_square.cache_clear()
-    assert rc == 3 and stdout == ""
-    assert "strong starter search for Z_23 ran out of its 10 nodes" in stderr
+    assert rc == 0 and stdout.startswith("v=27\n")
+    assert "maximum PPC = 3 verified" in stderr
+
+
+def test_roomsquare_past_the_stored_sides_fails_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, stdout, stderr = run(capsys, "roomsquare", "--side", "53")
+    assert time.perf_counter() - t0 < 1
+    assert rc == 1 and stdout == ""
+    assert stderr == (
+        "error: ppcforge builds Room squares of odd sides 7 to 51 only "
+        "(one exists for every odd side >= 7), got 53\n"
+    )
 
 
 def test_roomsquare_even_side_fails(capsys):

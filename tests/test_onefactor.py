@@ -6,6 +6,8 @@ import pytest
 
 import ppcforge as pf
 from ppcforge.onefactor import (
+    ROOM_MAX_ORDER,
+    _STARTERS,
     BadSide,
     ColNotOneFactor,
     EdgeMissingOrDoubled,
@@ -19,6 +21,7 @@ from ppcforge.onefactor import (
     room_to_text,
     side7_fixture,
     strong_starter,
+    _stored_starter,
 )
 
 
@@ -58,8 +61,33 @@ def test_no_strong_starter_of_order_9():
     assert strong_starter(9) is None
 
 
+def test_stored_starters_are_what_the_search_finds():
+    # every odd side below ROOM_MAX_ORDER is side 9 or has a stored starter;
+    # side 51 is left out here, its search takes 1.6M nodes
+    assert set(_STARTERS) == set(range(7, ROOM_MAX_ORDER, 2)) - {9}
+    for side in _STARTERS:
+        assert len(_STARTERS[side]) == (side - 1) // 2, side
+        if side <= 49:
+            assert strong_starter(side) == _stored_starter(side), side
+
+
+def test_room_square_does_not_search(monkeypatch):
+    def no_search(n):
+        raise AssertionError(f"strong_starter({n}) called")
+
+    monkeypatch.setattr(pf.onefactor, "strong_starter", no_search)
+    room_square.cache_clear()
+    try:
+        for side in range(7, ROOM_MAX_ORDER, 2):
+            room_square(side)
+    finally:
+        room_square.cache_clear()
+
+
 # sha256 of room_to_text(room_square(side)): side 9 is the stored square,
 # every other side develops the first strong starter in the search order
+# (sides 49 and 51 recorded from that search, before the starters were
+# stored)
 ROOM_SQUARE_SHA256 = {
     7: "51cb89e2049e97a2565a4a829cdd12e4989f11133c8e8d7a952327353d3c3ef1",
     9: "70b7df9c39bfa4c9b5192c07b37ac061092abd6cab4da4d6711ea639db22c4ea",
@@ -82,6 +110,8 @@ ROOM_SQUARE_SHA256 = {
     43: "3f21fdc0eeffc64263fff1ba3b945adcfa0f931ffabe8d29e240af04efcceac3",
     45: "abd458fa116b4619283c52c9a2a2c1166006056315ed07b20d7bfacd425048af",
     47: "6e25117f36b1a2602107ba4379f45461c46fba8b08c5112bbd9e0bf48b26d6c4",
+    49: "27925dd9177850d488444c3a96a32cc75e6bd07298e13af57cd977cf48414f76",
+    51: "289bd495b6edaebdc09ec2cd31f3e7bf1602f6189811a4b079efb9994ddf86cb",
 }
 
 
