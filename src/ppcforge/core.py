@@ -99,22 +99,24 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
         raise OutOfRange(f"point count must be a positive integer, got {v!r}")
     canon = []
     for raw in blocks:
-        blk = tuple(sorted(int(p) for p in raw))
-        if len(blk) != 3:
+        pts = sorted(map(int, raw))
+        if len(pts) != 3:
             raise ParseError(f"block {raw!r} does not have exactly 3 points")
-        if len(set(blk)) != 3:
+        a, b, c = pts
+        if a == b or b == c:  # sorted, so a repeat sits beside its twin
             raise RepeatedPoint(f"block {tuple(raw)} repeats a point")
-        if blk[0] < 0 or blk[2] >= v:
-            raise OutOfRange(f"block {blk} is outside points 0..{v - 1}")
-        canon.append(blk)
+        if a < 0 or c >= v:
+            raise OutOfRange(f"block {(a, b, c)} is outside points 0..{v - 1}")
+        canon.append((a, b, c))
     canon.sort()
     seen = {}
     for blk in canon:
         a, b, c = blk
         for pair in ((a, b), (a, c), (b, c)):
-            if pair in seen:
-                raise PairViolation(pair, seen[pair], blk)
-            seen[pair] = blk
+            # each block is its own tuple, so a block listed twice clashes too
+            first = seen.setdefault(pair, blk)
+            if first is not blk:
+                raise PairViolation(pair, first, blk)
     return Design(v, tuple(canon))
 
 
@@ -172,7 +174,7 @@ def deserialize(text: str) -> Design:
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 points, got {line!r}")
         try:
-            blocks.append(tuple(int(p) for p in parts))
+            blocks.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-integer point in {line!r}") from exc
     if v is None:

@@ -6,11 +6,14 @@ by depth-first search over block bitmasks; ``greedy_ppc`` supplies a fast
 incumbent and ``greedy_transversal`` an upper bound, since no PPC is larger
 than a point set meeting every block (weak duality, nu <= tau).  When the
 two meet, the maximum is proven without a search, and the transversal is
-the certificate.  ``extension_profile`` inspects a design together with a
-claimed maximum PPC and reports, for each point the class covers, how many
-blocks hang off it into the uncovered part -- certifying either that the
-standard swap arguments cannot grow the class, or that the class was not
-maximum after all.
+the certificate.  The solver builds one table of the blocks through each
+point per solve and takes both its search and its transversal from it;
+below the root, a branch that skips a point is entered only when the
+points left free could still beat the incumbent.  ``extension_profile``
+inspects a design together with a claimed maximum PPC and reports, for
+each point the class covers, how many blocks hang off it into the
+uncovered part -- certifying either that the standard swap arguments
+cannot grow the class, or that the class was not maximum after all.
 """
 
 from dataclasses import dataclass, field
@@ -67,17 +70,31 @@ def greedy_transversal(design: Design) -> Tuple[int, ...]:
     lowest label on ties.  The blocks of a PPC are disjoint, so each needs
     its own transversal point: no PPC is larger than any transversal.
     """
-    through = _through(design)
-    unmet = (1 << design.b) - 1
+    return _greedy_transversal(_through(design), design.b)
+
+
+def _greedy_transversal(through: List[int], b: int) -> Tuple[int, ...]:
+    """``greedy_transversal`` on a ``_through`` table of ``b`` blocks.
+
+    A point that meets no unmet block never meets one again, so each round
+    scans only the points left live by the round before, in increasing
+    order.
+    """
+    unmet = (1 << b) - 1
+    live: Sequence[int] = range(len(through))
     cover = []
     while unmet:
         x, most = -1, 0
-        for p in range(design.v):
+        alive = []
+        for p in live:
             deg = (through[p] & unmet).bit_count()
-            if deg > most:  # strict: the lowest label wins a tie
-                x, most = p, deg
+            if deg:
+                alive.append(p)
+                if deg > most:  # strict: the lowest label wins a tie
+                    x, most = p, deg
         cover.append(x)
         unmet &= ~through[x]
+        live = alive
     return tuple(sorted(cover))
 
 
@@ -96,11 +113,17 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     blocks, lowest label on ties: either some block through that point
     joins the class, or the point is skipped, which discards every block
     through it.  A point is free while some usable block passes through it,
-    and the bound ``chosen + free_points // 3`` prunes.  Usable blocks only
-    shrink down the tree, so a point once dead stays dead: each node scans
-    just the points still free at its parent and hands its own free points,
-    in increasing order, to its children.  If the node budget runs out, the
-    best class found so far is returned with ``optimal=False``.
+    and the bound ``chosen + free_points // 3`` prunes.  Skipping the
+    branching point leaves it dead, so the skip child is entered only when
+    ``chosen + (free_points - 1) // 3`` beats the incumbent; a child that
+    bound rules out holds no larger class, so a search that ends within its
+    budget gives the same answer as with the check at the child's entry, in
+    fewer nodes.  Usable blocks only shrink down the tree, so a point once
+    dead stays dead: each node scans just the points still free at its
+    parent and hands its own free points, in increasing order, to its
+    children.  The root transversal comes from the same block table as the
+    search.  If the node budget runs out, the best class found so far is
+    returned with ``optimal=False``.
     """
     v = design.v
     blocks = design.blocks
@@ -110,7 +133,7 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
 
     best = greedy_ppc(design)
     best_size = len(best)
-    cover = greedy_transversal(design)
+    cover = _greedy_transversal(through, len(blocks))
     counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
 
@@ -142,8 +165,10 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
             chosen.append(i)
             rec(usable & ~clash[i], alive)
             chosen.pop()
-        # skipping x discards every block through it
-        rec(usable & ~through[x], alive)
+        # skipping x discards every block through it and kills x, so that
+        # child has at most len(alive) - 1 free points
+        if len(chosen) + (len(alive) - 1) // 3 > best_size:
+            rec(usable & ~through[x], alive)
 
     optimal = True
     if blocks:

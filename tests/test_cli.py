@@ -245,6 +245,26 @@ def test_roomsquare_output_validates(capsys):
     assert square.side == 9
 
 
+def test_roomsquare_validates_its_square_once(monkeypatch, capsys):
+    calls = []
+    check = pf.onefactor.validate_room
+
+    def counted(square):
+        calls.append(square.side)
+        check(square)
+
+    monkeypatch.setattr(pf.onefactor, "validate_room", counted)
+    # a check the command itself would import and call counts too
+    monkeypatch.setattr(cli, "validate_room", counted, raising=False)
+    pf.room_square.cache_clear()
+    try:
+        rc, stdout, _ = run(capsys, "roomsquare", "--side", "15")
+    finally:
+        pf.room_square.cache_clear()
+    assert rc == 0 and pf.room_from_text(stdout).side == 15
+    assert calls == [15]
+
+
 def test_strong_starter_search_out_of_nodes_raises(monkeypatch):
     monkeypatch.setattr(pf.onefactor, "STARTER_NODES", 10)
     with pytest.raises(pf.Exhausted, match="strong starter search for Z_23 ran out of its 10 nodes"):

@@ -29,8 +29,28 @@ def test_pair_violation_reports_both_blocks():
 
 
 def test_repeated_block_is_a_pair_violation():
-    with pytest.raises(pf.PairViolation):
+    with pytest.raises(pf.PairViolation) as err:
         pf.validate(9, [(0, 1, 2), (2, 1, 0)])
+    assert str(err.value) == "pair (0, 1) appears in both (0, 1, 2) and (0, 1, 2)"
+    assert err.value.first == err.value.second == (0, 1, 2)
+
+
+def test_pair_violation_on_the_last_pair_of_a_block():
+    # (1, 3, 4) shares no pair with (0, 3, 4) until its third pair (3, 4)
+    with pytest.raises(pf.PairViolation) as err:
+        pf.validate(5, [(1, 4, 3), (0, 3, 4)])
+    assert str(err.value) == "pair (3, 4) appears in both (0, 3, 4) and (1, 3, 4)"
+    assert (err.value.first, err.value.second) == ((0, 3, 4), (1, 3, 4))
+
+
+def test_repeated_point_that_sorts_last():
+    with pytest.raises(pf.RepeatedPoint, match=r"^block \(2, 1, 1\) repeats a point$"):
+        pf.validate(5, [(0, 3, 4), (2, 1, 1)])
+
+
+def test_string_points_are_read_as_integers():
+    d = pf.validate(11, [("10", "2", "3"), ["0", "1", "2"]])
+    assert d.blocks == ((0, 1, 2), (2, 3, 10))
 
 
 def test_out_of_range_point():
@@ -90,6 +110,15 @@ def test_json_variant_accepted(psts7):
 def test_header_required():
     with pytest.raises(pf.ParseError):
         pf.deserialize("0 1 2\n")
+
+
+def test_parse_errors_name_their_line():
+    with pytest.raises(pf.ParseError) as err:
+        pf.deserialize("v=7\n0 1 2\n3 4\n")
+    assert str(err.value) == "line 3: expected 3 points, got '3 4'"
+    with pytest.raises(pf.ParseError) as err:
+        pf.deserialize("# a design\n\nv=7\n# ppc: 0 1 2\n\n0 1 x\n")
+    assert str(err.value) == "line 6: non-integer point in '0 1 x'"
 
 
 @given(designs())
