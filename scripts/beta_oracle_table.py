@@ -17,7 +17,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--v-max", type=int, default=8,
                     help="largest point count to enumerate (oracle cap: 8)")
-    ap.add_argument("--budget", type=int, default=50_000_000)
+    ap.add_argument("--budget", type=int, default=pf.NODE_LIMIT)
     args = ap.parse_args()
 
     print(f"{'rho':>3} {'v':>3} {'beta':>5} {'lower':>5} {'upper':>5} "

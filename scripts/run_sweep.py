@@ -18,7 +18,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rho-max", type=int, default=5)
     ap.add_argument("--ell-max", type=int, default=24)
-    ap.add_argument("--budget", type=int, default=20_000_000)
+    ap.add_argument("--budget", type=int, default=pf.NODE_LIMIT)
     args = ap.parse_args()
 
     print(f"{'variant':8} {'rho':>3} {'ell':>3} {'v':>3} {'b':>4} {'maxPPC':>6} "

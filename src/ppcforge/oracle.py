@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Tuple
 
-from .core import Block, Budget, Design, Exhausted, ToolkitError
+from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, ToolkitError
 
 
 class TooLarge(ToolkitError):
@@ -53,7 +53,7 @@ class BetaResult:
     complete: bool  # False = budget ran out, value is only a lower bound
 
 
-def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> BetaResult:
+def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> BetaResult:
     """beta(rho, v) by exhaustive search over PSTS(v) block sets.
 
     Enumerates designs as lexicographically increasing chains of triples
@@ -65,6 +65,9 @@ def brute_beta(rho: int, v: int, budget: int = 50_000_000, cap: int = 8) -> Beta
     triple's three pairs {a, b} are the bits a*v + b of one mask, and a
     chain's compatible triples are its parent's, past the new triple,
     whose pairs miss the new triple's.
+
+    The search gets ``budget`` nodes, by default ``NODE_LIMIT``; when they
+    run out, ``complete`` is False and ``value`` is only a lower bound.
     """
     if v > cap:
         raise TooLarge(f"v={v} exceeds the oracle cap of {cap}")

@@ -19,7 +19,7 @@ cannot grow the class, or that the class was not maximum after all.
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple, Union
 
-from .core import Block, Budget, Design, Exhausted, ToolkitError
+from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, SearchTooDeep, ToolkitError
 
 
 class NotMaximum(ToolkitError):
@@ -98,7 +98,7 @@ def _greedy_transversal(through: List[int], b: int) -> Tuple[int, ...]:
     return tuple(sorted(cover))
 
 
-def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
+def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
     """Exact maximum PPC via branch and bound on block bitmasks.
 
     A greedy incumbent seeds the search and one greedy transversal, taken
@@ -122,8 +122,10 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
     dead stays dead: each node scans just the points still free at its
     parent and hands its own free points, in increasing order, to its
     children.  The root transversal comes from the same block table as the
-    search.  If the node budget runs out, the best class found so far is
-    returned with ``optimal=False``.
+    search.  If the ``budget`` nodes (by default ``NODE_LIMIT``) run out,
+    the best class found so far is returned with ``optimal=False``.  Raises
+    ``SearchTooDeep`` when the search nests deeper than the interpreter's
+    recursion limit.
     """
     v = design.v
     blocks = design.blocks
@@ -176,6 +178,8 @@ def solve_max_ppc(design: Design, budget: int = 20_000_000) -> PpcResult:
             rec((1 << len(blocks)) - 1, range(v))
         except Exhausted:
             optimal = False
+        except RecursionError:
+            raise SearchTooDeep(counter.what, v) from None
     return PpcResult(
         size=best_size,
         witness=tuple(sorted(best)),

@@ -18,20 +18,15 @@ an exhausted search tree does.  ``sufficient_conditions`` evaluates the
 known PPC-based guarantees under which a sequencing must exist.
 """
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Budget, Design, Exhausted, ToolkitError
+from .core import NODE_LIMIT, Budget, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError
 from .ppc import greedy_transversal
 
 
 class NotPermutation(ToolkitError):
     """The provided sequence is not a permutation of the design's points."""
-
-
-class SearchTooDeep(ToolkitError):
-    """The sequencing search nests deeper than Python's recursion limit."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     return Sequencing(perm, True)
 
 
-def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
+def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     """Search for a valid sequencing by backtracking over prefixes.
 
     A prefix dies as soon as any suffix window of it (length 3t ending at
@@ -134,14 +129,16 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
     ``proof``.  When v is a multiple of 3 and the whole point set is a union
     of v/3 blocks (a spanning class), the last window of every permutation
     partitions, and the search closes at node 1 ("spanning class").
-    Otherwise a proof needs the whole tree exhausted within budget
+    Otherwise a proof needs the whole tree exhausted within ``budget`` nodes
     ("exhaustion") -- no symmetry shortcuts are taken, since sequencings
     are not closed under relabeling-free transforms other than reversal.
 
     Only windows with t up to the size tau of the oracle's transversal are
     built: no other window partitions, so the tree is the one all windows
-    give.  Raises ``SearchTooDeep`` when the search nests deeper than the
-    interpreter's recursion limit.
+    give.  ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
+    search; a search that runs out of it finds and proves nothing.  Raises
+    ``SearchTooDeep`` when the search nests deeper than the interpreter's
+    recursion limit.
     """
     v = design.v
     oracle = _WindowOracle(design)
@@ -208,10 +205,7 @@ def find_sequencing(design: Design, budget: int = 5_000_000) -> SearchOutcome:
     except Exhausted:
         return SearchOutcome(None, False, counter.nodes)
     except RecursionError:
-        raise SearchTooDeep(
-            f"sequencing search on {v} points nests deeper than the recursion "
-            f"limit of {sys.getrecursionlimit()}"
-        ) from None
+        raise SearchTooDeep(counter.what, v) from None
     if not found:
         return SearchOutcome(None, True, counter.nodes, "exhaustion")
     perm = [(placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v)]
@@ -247,9 +241,7 @@ def sequencing_to_text(v: int, perm: Sequence[int]) -> str:
 
 
 def sequencing_from_text(text: str) -> Tuple[int, Tuple[int, ...]]:
-    from .core import ParseError
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("v="):
         raise ParseError("expected 'v=<int>' header")
     try:

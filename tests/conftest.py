@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -19,7 +21,7 @@ def psts7():
 def fano():
     """The Fano plane: its maximum PPC is 1, but no transversal has fewer
     than 3 points and v//3 = 2, so only a search proves the maximum."""
-    return pf.validate(7, [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+    return fano_union(1)
 
 
 @pytest.fixture
@@ -57,6 +59,27 @@ def designs(draw, max_v=9, max_blocks=12):
     pool = list(combinations(range(v), 3))
     picks = draw(st.lists(st.sampled_from(pool), max_size=max_blocks))
     return pf.validate(v, linear_subset(picks))
+
+
+def fano_union(copies):
+    """``copies`` disjoint Fano planes on 7 * copies points."""
+    return pf.validate(7 * copies, [(7 * k + i, 7 * k + (i + 1) % 7, 7 * k + (i + 3) % 7)
+                                    for k in range(copies) for i in range(7)])
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to about ``frames`` past the caller's stack
+    depth, so a deep search meets it in milliseconds; restore it on exit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def sub_designs(design, count, max_blocks, seed):

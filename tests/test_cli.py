@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 import ppcforge as pf
 import ppcforge.cli as cli
 from ppcforge.cli import main
+
+from conftest import fano_union, recursion_headroom
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -82,12 +85,32 @@ def test_solve_ppc_budget_flag(tmp_path, capsys, fano):
     assert "budget-exhausted (lower bound)" in stdout
 
 
-def test_budget_env_variable(tmp_path, capsys, monkeypatch, fano):
-    path = write_design(tmp_path, fano)
+def test_every_search_defaults_to_the_node_limit():
+    assert pf.NODE_LIMIT == pf.core.NODE_LIMIT == 20_000_000
+    for search in (pf.solve_max_ppc, pf.find_sequencing, pf.brute_beta):
+        assert inspect.signature(search).parameters["budget"].default == pf.NODE_LIMIT
+    parser = cli.build_parser()
+    for argv in (["construct", "--rho", "3", "--v", "11"], ["solve-ppc", "d.txt"],
+                 ["sequence", "find", "d.txt"], ["oracle", "beta", "--rho", "1", "--v", "5"]):
+        assert parser.parse_args(argv).budget == pf.NODE_LIMIT
+
+
+def test_budget_env_variable_is_ignored(tmp_path, capsys, monkeypatch, fano):
     monkeypatch.setenv("PPCFORGE_BUDGET", "2")
-    assert run(capsys, "solve-ppc", path)[0] == 3
-    # an explicit flag still wins over the environment
-    assert run(capsys, "solve-ppc", path, "--budget", "1000000")[0] == 0
+    rc, stdout, stderr = run(capsys, "solve-ppc", write_design(tmp_path, fano))
+    assert rc == 0 and stdout.startswith("max ppc = 1 (optimal)\n")
+    assert "PPCFORGE_BUDGET" not in stderr
+
+
+def test_solve_ppc_past_the_recursion_limit_is_a_clean_error(tmp_path, capsys):
+    path = write_design(tmp_path, fano_union(60))
+    with recursion_headroom(60):
+        limit = sys.getrecursionlimit()
+        rc, stdout, stderr = run(capsys, "solve-ppc", path)
+    assert rc == 1 and stdout == ""
+    assert stderr == (
+        f"error: exact PPC search on 420 points nests deeper than the recursion limit of {limit}\n"
+    )
 
 
 @pytest.mark.parametrize("rho", [8, 10])
@@ -118,14 +141,7 @@ def test_module_runs_the_cli(capsys):
     assert rc == 0 and stdout
 
 
-def test_budget_env_garbage_is_ignored(capsys, monkeypatch):
-    monkeypatch.setenv("PPCFORGE_BUDGET", "plenty")
-    rc, stdout, stderr = run(capsys, "check-sts27")
-    assert rc == 0
-    assert "ignoring non-integer PPCFORGE_BUDGET" in stderr
-
-
-def test_parser_built_once_env_budget_read_per_call(tmp_path, capsys, monkeypatch, fano):
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch, fano):
     built, real_build_parser = [], cli.build_parser
 
     def counting_build_parser():
@@ -134,20 +150,12 @@ def test_parser_built_once_env_budget_read_per_call(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    monkeypatch.delenv("PPCFORGE_BUDGET", raising=False)
     path = write_design(tmp_path, fano)
     assert run(capsys, "solve-ppc", path)[0] == 0
-    monkeypatch.setenv("PPCFORGE_BUDGET", "2")
-    assert run(capsys, "solve-ppc", path)[0] == 3
-    monkeypatch.setenv("PPCFORGE_BUDGET", "plenty")
     assert run(capsys, "check-sts27")[0] == 0
     assert len(built) == 1
-    # the warning comes on every call, not just the one that built the
-    # parser, and also when an explicit flag makes the variable moot
     for argv in (["check-sts27"], ["solve-ppc", path, "--budget", "1000000"]):
-        rc, _, stderr = run(capsys, *argv)
-        assert rc == 0
-        assert "ignoring non-integer PPCFORGE_BUDGET='plenty'" in stderr
+        assert run(capsys, *argv)[0] == 0
     assert len(built) == 1
 
 
@@ -210,6 +218,14 @@ def test_sequence_check_reports_violation(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "sequence", "check", dpath, str(ppath))
     assert rc == 2
     assert stdout == "invalid: window of 3 points at position 0 is a union of 1 blocks\n"
+
+
+def test_sequence_check_skips_indented_comment_lines(tmp_path, capsys):
+    dpath = write_design(tmp_path, pf.validate(4, [(0, 1, 2)]))
+    ppath = tmp_path / "perm.txt"
+    ppath.write_text("v=4\n  # 0 1 2 would repeat the block\n0 1 3 2\n")
+    rc, stdout, _ = run(capsys, "sequence", "check", dpath, str(ppath))
+    assert rc == 0 and stdout == "valid sequencing\n"
 
 
 def test_sequence_check_v_mismatch(tmp_path, capsys):

@@ -140,3 +140,9 @@ def test_degree_sum_is_three_b(d):
 @given(designs())
 def test_serialization_bijective(d):
     assert pf.deserialize(pf.serialize(d)) == d
+
+
+@given(designs())
+def test_no_validated_design_outgrows_the_packing_number(d):
+    # linearity alone caps b at D(v), so ``verify`` needs no block-count check
+    assert d.b <= pf.packing_number(d.v)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 import ppcforge as pf
 from ppcforge.ppc import NotMaximum, extension_profile
 
-from conftest import designs, linear_subset
+from conftest import designs, fano_union, linear_subset, recursion_headroom
 
 
 def test_psts7_has_max_ppc_2(psts7):
@@ -49,6 +50,19 @@ def test_budget_exhaustion_flagged(fano):
     proven = pf.solve_max_ppc(fano)
     assert proven.optimal and proven.size == 1 and proven.nodes > 2
     assert result.size <= proven.size
+
+
+def test_search_past_the_recursion_limit_is_a_clean_error():
+    # the search dives one level per Fano plane before it backtracks, so 60
+    # planes nest past a limit 60 frames above the caller
+    design = fano_union(60)
+    with recursion_headroom(60):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(pf.SearchTooDeep) as err:
+            pf.solve_max_ppc(design)
+    assert str(err.value) == (
+        f"exact PPC search on 420 points nests deeper than the recursion limit of {limit}"
+    )
 
 
 def test_greedy_is_a_lower_bound(bose9):

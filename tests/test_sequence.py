@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import ppcforge as pf
 from ppcforge.ppc import greedy_transversal
-from ppcforge.sequence import NotPermutation, _WindowOracle
+from ppcforge.sequence import NotPermutation, SearchTooDeep, _WindowOracle
 
 from conftest import designs
 
@@ -239,3 +239,7 @@ def test_text_round_trip():
 def test_text_rejects_missing_header():
     with pytest.raises(pf.ParseError):
         pf.sequencing_from_text("0 1 2\n")
+
+
+def test_too_deep_is_the_shared_error():
+    assert SearchTooDeep is pf.SearchTooDeep is pf.core.SearchTooDeep
