@@ -58,12 +58,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         variant = "packed" if (v - rho) % 2 == 0 else "trimmed"
     ell = v - rho + (variant == "trimmed")  # trimming deletes one point
     if ell % 2:
-        print(
-            f"error: variant {variant} needs v-rho {'even' if variant != 'trimmed' else 'odd'} "
-            f"(got rho={rho}, v={v})",
-            file=sys.stderr,
+        raise ToolkitError(
+            f"variant {variant} needs v-rho {'even' if variant != 'trimmed' else 'odd'} "
+            f"(got rho={rho}, v={v})"
         )
-        return 1
     witness = construct_mod.FACTOR_JOINS[variant](rho, ell)
     result = solve_max_ppc(witness.design, budget=args.budget)
     if not result.optimal:
@@ -100,12 +98,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    text = _read(args.file)
     try:
-        design = _load_design(args.file)
+        design = deserialize(text)
+        comments = read_ppc_comments(text)
     except ToolkitError as exc:
         print(f"invalid: {exc}")
         return 2
-    comments = read_ppc_comments(_read(args.file))
     if comments:
         try:
             class_points(design, comments)
@@ -145,8 +144,7 @@ def _cmd_sequence_check(args: argparse.Namespace) -> int:
     design = _load_design(args.file)
     v, perm = sequencing_from_text(_read(args.perm))
     if v != design.v:
-        print(f"error: permutation file says v={v}, design has v={design.v}", file=sys.stderr)
-        return 1
+        raise ToolkitError(f"permutation file says v={v}, design has v={design.v}")
     seq = check_sequencing(design, perm)
     if seq.valid:
         print("valid sequencing")

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import packing_number
 from .core import Block, Design, OutOfRange, ToolkitError, validate
-from .onefactor import FactorSelection, select_factors
+from .onefactor import select_factors
 
 Vec = Tuple[int, int]
 
@@ -63,13 +63,16 @@ class ConstructionWitness:
     s_points: Tuple[int, ...]
 
 
-def _apex_blocks(sel: FactorSelection, rho: int, ell: int) -> List[Block]:
-    out = []
-    for j, factor in enumerate(sel.factors):
-        s = ell + j
-        for a, b in factor:
-            out.append((a, b, s))
-    return out
+def _join(rho: int, ell: int, packing: Sequence[Block]) -> ConstructionWitness:
+    """The factor join of ``select_factors(ell, rho)`` with ``packing``, a
+    PSTS(rho), placed on the apex points ell..ell+rho-1."""
+    sel = select_factors(ell, rho)
+    blocks = [(a, b, ell + j) for j, factor in enumerate(sel.factors) for a, b in factor]
+    blocks += [(ell + p, ell + q, ell + r) for p, q, r in packing]
+    assert len(blocks) == rho * ell // 2 + len(packing)
+    design = validate(rho + ell, blocks)
+    witness = tuple(sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps)))
+    return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
 
 
 def factor_join(rho: int, ell: int) -> ConstructionWitness:
@@ -77,13 +80,7 @@ def factor_join(rho: int, ell: int) -> ConstructionWitness:
 
     Requires ell even, ell >= 2*rho, (ell, rho) != (4, 2).
     """
-    sel = select_factors(ell, rho)
-    v = rho + ell
-    blocks = _apex_blocks(sel, rho, ell)
-    assert len(blocks) == rho * ell // 2
-    design = validate(v, blocks)
-    witness = tuple(sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps)))
-    return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
+    return _join(rho, ell, ())
 
 
 def factor_join_packed(rho: int, ell: int) -> ConstructionWitness:
@@ -97,15 +94,7 @@ def factor_join_packed(rho: int, ell: int) -> ConstructionWitness:
     of U among themselves.  That is promised only for rho = 1 or
     ell = 2*rho; the factors chosen here need not reach it otherwise.
     """
-    sel = select_factors(ell, rho)
-    v = rho + ell
-    blocks = _apex_blocks(sel, rho, ell)
-    for p, q, r in max_packing(rho).blocks:
-        blocks.append((ell + p, ell + q, ell + r))
-    assert len(blocks) == rho * ell // 2 + packing_number(rho)
-    design = validate(v, blocks)
-    witness = tuple(sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps)))
-    return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
+    return _join(rho, ell, max_packing(rho).blocks)
 
 
 def factor_join_odd(rho: int, ell: int) -> ConstructionWitness:

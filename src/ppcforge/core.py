@@ -170,7 +170,16 @@ def deserialize(text: str) -> Design:
             raise ParseError(f"bad JSON design: {exc}") from exc
         if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
             raise ParseError("JSON design needs keys 'v' and 'blocks'")
-        return validate(obj["v"], obj["blocks"])
+        v, blocks = obj["v"], obj["blocks"]
+        # type(), not isinstance: bool subclasses int, and JSON true is no integer
+        if type(v) is not int:
+            raise ParseError(f"JSON design: v must be an integer, got {v!r}")
+        if not isinstance(blocks, list) or not all(isinstance(blk, list) for blk in blocks):
+            raise ParseError("JSON design: 'blocks' must be a list of lists")
+        for blk in blocks:
+            if not all(type(p) is int for p in blk):
+                raise ParseError(f"JSON design: non-integer point in {blk!r}")
+        return validate(v, blocks)
     v = None
     blocks = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,5 +216,8 @@ def read_ppc_comments(text: str) -> Tuple[Block, ...]:
             parts = body.split()
             if len(parts) != 3:
                 raise ParseError(f"bad ppc comment {raw!r}")
-            out.append(tuple(sorted(int(p) for p in parts)))
+            try:
+                out.append(tuple(sorted(int(p) for p in parts)))
+            except ValueError as exc:
+                raise ParseError(f"non-integer point in ppc comment {raw!r}") from exc
     return tuple(out)

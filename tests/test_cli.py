@@ -187,6 +187,31 @@ def test_verify_rejects_overlapping_class(tmp_path, capsys):
     assert rc == 2 and "reuses point 0" in stdout
 
 
+_JSON_BAD = (
+    '{"v": 7, "blocks": [[0, 1, 2.5]]}',
+    '{"v": true, "blocks": []}',
+    '{"v": 7, "blocks": [[0, 1, "x"]]}',
+    '{"v": 7, "blocks": 5}',
+)
+
+
+@pytest.mark.parametrize("argv,text", [
+    *((cmd, text) for text in _JSON_BAD for cmd in (["verify"], ["solve-ppc"])),
+    (["verify"], "v=3\n# ppc: 0 1 x\n0 1 2\n"),
+    (["oracle", "beta", "--rho", "3", "--v", "5"], None),
+    (["oracle", "beta", "--rho", "1", "--v", "2"], None),
+])
+def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
+    if text is not None:
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    rc, stdout, stderr = run(capsys, *argv)
+    assert rc == (2 if argv[0] == "verify" else 1)
+    assert len((stdout + stderr).splitlines()) == 1
+    assert "Traceback" not in stdout + stderr
+
+
 def test_table1_is_the_bounds_shorthand(capsys):
     rc1, rows1, _ = run(capsys, "table1", "--format", "rows")
     rc2, rows2, _ = run(capsys, "bounds", "--v", "27", "--rho-max", "9",
@@ -281,10 +306,9 @@ def test_roomsquare_validates_its_square_once(monkeypatch, capsys):
     assert calls == [15]
 
 
-def test_strong_starter_search_out_of_nodes_raises(monkeypatch):
-    monkeypatch.setattr(pf.onefactor, "STARTER_NODES", 10)
+def test_strong_starter_search_out_of_nodes_raises():
     with pytest.raises(pf.Exhausted, match="strong starter search for Z_23 ran out of its 10 nodes"):
-        pf.onefactor.strong_starter(23)
+        pf.onefactor.strong_starter(23, budget=10)
 
 
 def test_construct_reads_stored_starters(monkeypatch, capsys):

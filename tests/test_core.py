@@ -107,6 +107,11 @@ def test_json_variant_accepted(psts7):
     assert pf.deserialize(text) == psts7
 
 
+def test_json_points_are_not_truncated():
+    with pytest.raises(pf.ParseError, match="non-integer point"):
+        pf.deserialize('{"v": 7, "blocks": [[0, 1, 2.5]]}')
+
+
 def test_header_required():
     with pytest.raises(pf.ParseError):
         pf.deserialize("0 1 2\n")

@@ -19,7 +19,6 @@ from ppcforge.onefactor import (
     room_from_text,
     room_square,
     room_to_text,
-    side7_fixture,
     strong_starter,
     _stored_starter,
 )
@@ -47,14 +46,6 @@ def test_round_robin_covers_every_edge_once(ell):
 def test_round_robin_rejects_odd():
     with pytest.raises(OddOrder):
         pf.round_robin(5)
-
-
-def test_side7_fixture_is_valid():
-    pf.validate_room(side7_fixture())
-
-
-def test_generation_reproduces_the_stored_side7_square():
-    assert room_square(7).grid == side7_fixture().grid
 
 
 def test_no_strong_starter_of_order_9():
@@ -164,7 +155,7 @@ def test_swapped_diagonal_breaks_a_row_first():
     # swapping the (1,1) and (2,2) diagonal cells damages rows 1 and 2 as
     # well as columns 1 and 2; the row check runs before the column check,
     # so the row error surfaces
-    grid = [list(row) for row in side7_fixture().grid]
+    grid = [list(row) for row in room_square(7).grid]
     grid[0][0], grid[1][1] = grid[1][1], grid[0][0]
     with pytest.raises(RowNotOneFactor):
         pf.validate_room(RoomSquare(7, tuple(tuple(r) for r in grid)))
@@ -173,7 +164,7 @@ def test_swapped_diagonal_breaks_a_row_first():
 def test_column_error_when_rows_are_intact():
     # swap two filled cells within one row: rows stay one-factors, the two
     # affected columns do not
-    grid = [list(row) for row in side7_fixture().grid]
+    grid = [list(row) for row in room_square(7).grid]
     grid[0][0], grid[0][3] = grid[0][3], grid[0][0]
     with pytest.raises(ColNotOneFactor):
         pf.validate_room(RoomSquare(7, tuple(tuple(r) for r in grid)))

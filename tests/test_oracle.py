@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
+from ppcforge.bounds import OutOfDomain
 from ppcforge.oracle import TooLarge, brute_beta, brute_max_ppc
 
 from conftest import designs
@@ -70,9 +71,9 @@ def test_beta_budget_starvation_is_labelled():
 def test_beta_caps_and_domain():
     with pytest.raises(TooLarge):
         brute_beta(2, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         brute_beta(0, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         brute_beta(2, 5)
 
 
