@@ -5,7 +5,8 @@ with a prescribed maximum PPC, solve/verify design files, print bound
 tables, search and check sequencings, emit Room squares, and run the
 brute-force oracles.  Exit codes: 0 success, 1 usage or I/O problem,
 2 verification failure, 3 a search ran out of its node limit.  Every
-``--budget`` defaults to ``core.NODE_LIMIT``, the node limit of every search.
+``--budget`` defaults to ``core.NODE_LIMIT``, the node limit of every search,
+and one below 1 is a usage error.
 
 Machine-readable output (design files, ``--format rows`` tables, square and
 sequencing files) is deterministic for fixed flags; wall-clock timings go
@@ -274,6 +275,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 1 if code == 2 else code
     try:
+        if getattr(args, "budget", 1) < 1:
+            raise ToolkitError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except Exhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -40,6 +40,10 @@ class NoDeletablePoint(ToolkitError):
     """No point of T avoids every representative edge (needs ell > 2*rho)."""
 
 
+class BadWitness(ToolkitError):
+    """The representative edges are not pairwise disjoint, one per factor."""
+
+
 class SumViolation(ToolkitError):
     """A stored triple does not sum to (0,0) over Z_5 x Z_5."""
 
@@ -65,8 +69,21 @@ class ConstructionWitness:
 
 def _join(rho: int, ell: int, packing: Sequence[Block]) -> ConstructionWitness:
     """The factor join of ``select_factors(ell, rho)`` with ``packing``, a
-    PSTS(rho), placed on the apex points ell..ell+rho-1."""
+    PSTS(rho), placed on the apex points ell..ell+rho-1.
+
+    The selection is checked, not trusted: ``validate`` rejects an edge
+    used twice and two edges of one factor that share a point (their
+    blocks share the pair with the apex), the block count then makes every
+    factor perfect, and the reps must be pairwise disjoint with rep j in
+    factor j, so the witness blocks are rho disjoint blocks of the design.
+    """
     sel = select_factors(ell, rho)
+    rep_points = {p for rep in sel.reps for p in rep}
+    if len(sel.reps) != rho or len(rep_points) != 2 * rho:
+        raise BadWitness(f"representative edges {sel.reps} are not {rho} disjoint edges")
+    for j, (rep, factor) in enumerate(zip(sel.reps, sel.factors)):
+        if rep not in factor:
+            raise BadWitness(f"representative edge {rep} is not in factor {j}")
     blocks = [(a, b, ell + j) for j, factor in enumerate(sel.factors) for a, b in factor]
     blocks += [(ell + p, ell + q, ell + r) for p, q, r in packing]
     assert len(blocks) == rho * ell // 2 + len(packing)

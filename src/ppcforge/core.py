@@ -106,18 +106,23 @@ class DegreeProfile:
 def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
     """Check linearity and ranges; return the canonical ``Design``.
 
+    Points are ints, or decimal strings read as ints; anything else (a
+    float, a bool) raises ``ParseError`` rather than being truncated.
     Raises ``OutOfRange``, ``RepeatedPoint``, or ``PairViolation``.  A block
     listed twice is reported as a ``PairViolation`` on its first pair, since
     a repeated block repeats pairs.
     """
-    if not isinstance(v, int) or v < 1:
+    if type(v) is not int or v < 1:
         raise OutOfRange(f"point count must be a positive integer, got {v!r}")
     canon = []
     for raw in blocks:
-        pts = sorted(map(int, raw))
-        if len(pts) != 3:
-            raise ParseError(f"block {raw!r} does not have exactly 3 points")
-        a, b, c = pts
+        try:
+            a, b, c = sorted(raw)
+        except (TypeError, ValueError):  # not 3 points, or unorderable ones
+            a = None
+        # type(), not isinstance: bool subclasses int
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            a, b, c = _int_points(raw)
         if a == b or b == c:  # sorted, so a repeat sits beside its twin
             raise RepeatedPoint(f"block {tuple(raw)} repeats a point")
         if a < 0 or c >= v:
@@ -133,6 +138,21 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
             if first is not blk:
                 raise PairViolation(pair, first, blk)
     return Design(v, tuple(canon))
+
+
+def _int_points(raw: Sequence) -> Tuple[int, int, int]:
+    """The sorted points of a block that are not all ints: decimal strings
+    are read, anything else is a ``ParseError``."""
+    if len(raw) != 3:
+        raise ParseError(f"block {raw!r} does not have exactly 3 points")
+    try:
+        pts = [int(p) if type(p) is str else p for p in raw]
+    except ValueError as exc:
+        raise ParseError(f"block {raw!r} has a non-integer point") from exc
+    if not all(type(p) is int for p in pts):
+        raise ParseError(f"block {raw!r} has a non-integer point")
+    a, b, c = sorted(pts)
+    return a, b, c
 
 
 def degree_profile(design: Design) -> DegreeProfile:

@@ -23,17 +23,20 @@ edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
 the rule.  For 8 <= ell <= 52 the rows of a Room square of side ell-1 with
 a filled first-column cell supply both the factors and the representatives
 (the first column is itself a one-factor, which makes the representatives
-independent).  For ell = 6 and past 52, where no strong starter is stored,
-a perfect matching that meets every factor of ``round_robin`` at most once
+independent).  Those rows are read straight from the stored starter, or
+the stored side-9 square: no square is developed or validated for a
+selection, and ``construct`` checks what it builds from the rows.  For
+ell = 6 and past 52, where no strong starter is stored, a perfect matching
+that meets every factor of ``round_robin`` at most once
 (``rainbow_matching``, in closed form) supplies the representatives and
 picks the factors, with the points relabelled so that the matching is
-{0,1}, {2,3}, ...  No selection exists for (ell, rho) =
-(4, 2): disjoint edges of K_4 share a one-factor.
+{0,1}, {2,3}, ...  No selection exists for (ell, rho) = (4, 2): disjoint
+edges of K_4 share a one-factor.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import NODE_LIMIT, Budget, ParseError, ToolkitError
 
@@ -244,19 +247,26 @@ def _stored_starter(n: int) -> List[Edge]:
     return pairs
 
 
+def _starter_row(n: int, starter: List[Edge], g: int) -> Dict[int, Edge]:
+    """Row g of the square developed from a strong starter of Z_n, as
+    {column: edge}: {g, n} on the diagonal, and each pair {x, y} shifted by
+    g in column g + x + y.  The row is the one-factor {g, n} plus the
+    starter translated by g; its first-column cell is filled exactly when
+    g = 0 or g = -(x + y) for a pair, the cell then being {0, n} or
+    {-y, -x}."""
+    row = {g: (g, n)}
+    for x, y in starter:
+        u, w = (x + g) % n, (y + g) % n
+        row[(g + x + y) % n] = (u, w) if u < w else (w, u)
+    return row
+
+
 def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
-    """Develop a strong starter through Z_n: pair i lands in cell
-    (g, g + x_i + y_i) and the diagonal holds {g, n}."""
-    inf = n
+    """Develop a strong starter through Z_n, row by row."""
     grid: List[List[Optional[Edge]]] = [[None] * n for _ in range(n)]
     for g in range(n):
-        grid[g][g] = (g, inf)
-    for x, y in starter:
-        adder = (-(x + y)) % n
-        for g in range(n):
-            u, w = (x + g) % n, (y + g) % n
-            c = (g - adder) % n
-            grid[g][c] = (min(u, w), max(u, w))
+        for c, edge in _starter_row(n, starter, g).items():
+            grid[g][c] = edge
     return RoomSquare(n, tuple(tuple(row) for row in grid))
 
 
@@ -388,9 +398,13 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     searches:
 
     * ell <= 4: the first round-robin factor and its first edge;
-    * 8 <= ell <= ROOM_MAX_ORDER: the Room square rows of side ell-1 (a
-      stored square or a stored starter's) whose first-column cell is
-      filled, that cell being the representative;
+    * 8 <= ell <= ROOM_MAX_ORDER: the first rho rows, in row order, of the
+      Room square of side ell-1 whose first-column cell is filled, that
+      cell being the representative.  The rows come straight from the
+      stored starter through ``_starter_row`` (rows g = 0 and g = -(x+y)
+      for its pairs), or from ``_SIDE9_CELLS`` for ell = 10: only those
+      rho rows are built, and the square is neither developed nor
+      validated;
     * ell = 6 and ell > ROOM_MAX_ORDER, where no starter is stored: the
       round-robin factors through the first rho edges of
       ``rainbow_matching``, with the points relabelled so that the
@@ -409,17 +423,20 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
         factor = round_robin(ell).factors[0]
         return FactorSelection(ell, (factor,), (factor[0],))
     if 8 <= ell <= ROOM_MAX_ORDER:
-        square = room_square(ell - 1)
-        factors, reps = [], []
-        for r in range(square.side):
-            first = square.grid[r][0]
-            if first is None:
-                continue
-            factors.append(tuple(sorted(cell for cell in square.grid[r] if cell)))
-            reps.append(first)
-            if len(factors) == rho:
-                break
-        return FactorSelection(ell, tuple(factors), tuple(reps))
+        n = ell - 1
+        if n == 9:
+            firsts = sorted(r for r, c in _SIDE9_CELLS if c == 0)[:rho]
+            rows = [{c: e for (r, c), e in _SIDE9_CELLS.items() if r == g} for g in firsts]
+        else:
+            starter = _stored_starter(n)
+            # the pair sums of a strong starter are distinct and nonzero
+            firsts = sorted([0] + [-(x + y) % n for x, y in starter])[:rho]
+            rows = [_starter_row(n, starter, g) for g in firsts]
+        return FactorSelection(
+            ell,
+            tuple(tuple(sorted(row.values())) for row in rows),
+            tuple(row[0] for row in rows),
+        )
     matching = rainbow_matching(ell)
     label = [0] * ell
     for j, ((a, b), _) in enumerate(matching):

@@ -85,6 +85,21 @@ def test_solve_ppc_budget_flag(tmp_path, capsys, fano):
     assert "budget-exhausted (lower bound)" in stdout
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["solve-ppc", "FILE"],
+    ["construct", "--rho", "3", "--v", "11"],
+    ["sequence", "find", "FILE"],
+    ["oracle", "beta", "--rho", "1", "--v", "5"],
+])
+def test_budget_below_one_is_a_usage_error(tmp_path, capsys, fano, argv, budget):
+    path = write_design(tmp_path, fano)
+    argv = [path if a == "FILE" else a for a in argv]
+    rc, stdout, stderr = run(capsys, *argv, "--budget", budget)
+    assert rc == 1 and stdout == ""
+    assert stderr == f"error: --budget must be at least 1, got {budget}\n"
+
+
 def test_every_search_defaults_to_the_node_limit():
     assert pf.NODE_LIMIT == pf.core.NODE_LIMIT == 20_000_000
     for search in (pf.solve_max_ppc, pf.find_sequencing, pf.brute_beta):
@@ -323,6 +338,16 @@ def test_construct_reads_stored_starters(monkeypatch, capsys):
         pf.room_square.cache_clear()
     assert rc == 0 and stdout.startswith("v=27\n")
     assert "maximum PPC = 3 verified" in stderr
+
+
+def test_construct_rejects_a_bad_witness(monkeypatch, capsys):
+    sel = pf.select_factors(8, 3)
+    overlapping = (sel.reps[0], sel.reps[0], sel.reps[2])
+    monkeypatch.setattr(pf.construct, "select_factors",
+                        lambda ell, rho: pf.onefactor.FactorSelection(ell, sel.factors, overlapping))
+    rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
+    assert rc == 1 and stdout == ""
+    assert stderr == f"error: representative edges {overlapping} are not 3 disjoint edges\n"
 
 
 def test_roomsquare_past_the_stored_sides_fails_at_once(capsys):

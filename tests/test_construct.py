@@ -6,6 +6,7 @@ import pytest
 import ppcforge as pf
 from ppcforge.construct import (
     BadResidue,
+    BadWitness,
     NoDeletablePoint,
     NotDisjoint,
     SumViolation,
@@ -36,6 +37,33 @@ def test_tiny_pure_case():
 def test_infeasible_pair_propagates():
     with pytest.raises(Infeasible):
         pf.factor_join(2, 4)
+
+
+def _overlapping_reps(ell, rho):
+    """``select_factors`` with rep 1 swapped for an edge of factor 1 that
+    meets rep 0."""
+    sel = pf.select_factors(ell, rho)
+    clash = next(e for e in sel.factors[1] if set(e) & set(sel.reps[0]))
+    return pf.onefactor.FactorSelection(ell, sel.factors, (sel.reps[0], clash, *sel.reps[2:]))
+
+
+def _misplaced_reps(ell, rho):
+    """``select_factors`` with reps 0 and 1 swapped: still disjoint, each
+    outside its factor."""
+    sel = pf.select_factors(ell, rho)
+    reps = (sel.reps[1], sel.reps[0], *sel.reps[2:])
+    return pf.onefactor.FactorSelection(ell, sel.factors, reps)
+
+
+@pytest.mark.parametrize("kind", pf.FACTOR_JOINS)
+@pytest.mark.parametrize("bad,message", [
+    (_overlapping_reps, r"are not 3 disjoint edges"),
+    (_misplaced_reps, r"representative edge \(\d+, \d+\) is not in factor 0"),
+])
+def test_join_checks_its_witness(monkeypatch, kind, bad, message):
+    monkeypatch.setattr(pf.construct, "select_factors", bad)
+    with pytest.raises(BadWitness, match=message):
+        pf.FACTOR_JOINS[kind](3, 10)
 
 
 def test_packed_examples():

@@ -53,6 +53,19 @@ def test_string_points_are_read_as_integers():
     assert d.blocks == ((0, 1, 2), (2, 3, 10))
 
 
+@pytest.mark.parametrize("block", [(0, 1, 2.5), (True, 2, 3), (0, 1, "x"), (0, 1, None),
+                                   ["2", 1.0, 0]])
+def test_non_integer_points_are_not_truncated(block):
+    with pytest.raises(pf.ParseError) as err:
+        pf.validate(7, [(3, 4, 5), block])
+    assert str(err.value) == f"block {block!r} has a non-integer point"
+
+
+def test_bool_point_count_is_rejected():
+    with pytest.raises(pf.OutOfRange, match="^point count must be a positive integer, got True$"):
+        pf.validate(True, [])
+
+
 def test_out_of_range_point():
     with pytest.raises(pf.OutOfRange):
         pf.validate(4, [(0, 1, 5)])

@@ -212,6 +212,32 @@ def test_room_selection_is_pinned():
     assert h.hexdigest() == ROOM_SELECTION_SHA256
 
 
+@pytest.mark.parametrize("side", range(7, ROOM_MAX_ORDER, 2))
+def test_selection_is_the_first_column_rows_of_the_square(side):
+    # read from the starter, the rows and their first-column cells are those
+    # of the developed and validated square
+    square = room_square(side)
+    pf.validate_room(square)
+    rows = [r for r in range(side) if square.grid[r][0] is not None]
+    assert len(rows) == (side + 1) // 2
+    sel = pf.select_factors(side + 1, (side + 1) // 2)
+    assert sel.factors == tuple(tuple(sorted(c for c in square.grid[r] if c)) for r in rows)
+    assert sel.reps == tuple(square.grid[r][0] for r in rows)
+
+
+def test_factor_joins_never_build_a_square(monkeypatch):
+    def no_square(*args):
+        raise AssertionError("a Room square was built or validated")
+
+    monkeypatch.setattr(pf.onefactor, "room_square", no_square)
+    monkeypatch.setattr(pf.onefactor, "validate_room", no_square)
+    for ell in range(8, ROOM_MAX_ORDER + 1, 2):
+        for rho in sorted({*range(1, min(5, ell // 2) + 1), ell // 2}):
+            for kind, build in pf.FACTOR_JOINS.items():
+                if kind != "trimmed" or ell > 2 * rho:
+                    assert build(rho, ell).rho == rho, (kind, rho, ell)
+
+
 @pytest.mark.parametrize("ell", [6, 54, 58])
 def test_rainbow_selection_is_proven_at_the_root(ell):
     # the relabelled matching makes first-fit take the witness class, and a
