@@ -3,9 +3,9 @@
 A partial Steiner triple system PSTS(v) is a set of 3-element blocks drawn
 from a point set of size v such that every pair of points lies in at most one
 block.  When every pair lies in exactly one block the system is a full
-STS(v).  This module holds the value type, structural validation, degree
-profiles, a plain-text interchange format, and what every search shares:
-the node limit ``NODE_LIMIT``, ``Budget``, ``Exhausted`` and ``SearchTooDeep``.
+STS(v).  This module holds the value type, structural validation, a
+plain-text interchange format, and what every search shares: the node
+limit ``NODE_LIMIT``, ``Budget``, ``Exhausted`` and ``SearchTooDeep``.
 
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
@@ -96,13 +96,6 @@ class Design:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-point block counts; ``degrees[x]`` is the number of blocks on x."""
-
-    degrees: Tuple[int, ...]
-
-
 def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
     """Check linearity and ranges; return the canonical ``Design``.
 
@@ -153,14 +146,6 @@ def _int_points(raw: Sequence) -> Tuple[int, int, int]:
         raise ParseError(f"block {raw!r} has a non-integer point")
     a, b, c = sorted(pts)
     return a, b, c
-
-
-def degree_profile(design: Design) -> DegreeProfile:
-    degs = [0] * design.v
-    for blk in design.blocks:
-        for p in blk:
-            degs[p] += 1
-    return DegreeProfile(tuple(degs))
 
 
 def serialize(design: Design, ppc: Optional[Sequence[Block]] = None) -> str:

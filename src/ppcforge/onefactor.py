@@ -81,14 +81,6 @@ class Infeasible(ToolkitError):
 
 
 @dataclass(frozen=True)
-class OneFactorization:
-    """``factors`` partition the edges of K_order, each factor a matching."""
-
-    order: int
-    factors: Tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
 class RoomSquare:
     """Grid of side ``side`` over symbols 0..side; cells are edges or None.
 
@@ -102,26 +94,24 @@ class RoomSquare:
 
 @dataclass(frozen=True)
 class FactorSelection:
-    order: int
     factors: Tuple[Factor, ...]
     reps: Tuple[Edge, ...]
 
 
-def round_robin(ell: int) -> OneFactorization:
-    """Circle-method one-factorization of K_ell for even ell >= 2.
+def round_robin(ell: int) -> Tuple[Factor, ...]:
+    """Circle-method one-factorization of K_ell for even ell >= 2: factors
+    that partition the edges of K_ell, each a perfect matching.
 
     Vertex ell-1 stays fixed; vertices 0..ell-2 rotate.  Factor r pairs r
     with the fixed vertex and pairs r-k with r+k (mod ell-1) for each k.
     """
     if ell < 2 or ell % 2:
         raise OddOrder(f"need an even order >= 2, got {ell}")
-    if ell == 2:
-        return OneFactorization(2, (((0, 1),),))
-    return OneFactorization(ell, tuple(_circle_factor(ell, r) for r in range(ell - 1)))
+    return tuple(_circle_factor(ell, r) for r in range(ell - 1))
 
 
 def _circle_factor(ell: int, r: int) -> Factor:
-    """Factor r of ``round_robin(ell)``, ell >= 4."""
+    """Factor r of ``round_robin(ell)``."""
     m = ell - 1
     edges = [(r, m)]
     for k in range(1, ell // 2):
@@ -420,8 +410,8 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     if (ell, rho) == (4, 2):
         raise Infeasible("two vertex-disjoint edges of K_4 lie in one one-factor")
     if ell <= 4:
-        factor = round_robin(ell).factors[0]
-        return FactorSelection(ell, (factor,), (factor[0],))
+        factor = round_robin(ell)[0]
+        return FactorSelection((factor,), (factor[0],))
     if 8 <= ell <= ROOM_MAX_ORDER:
         n = ell - 1
         if n == 9:
@@ -433,7 +423,6 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
             firsts = sorted([0] + [-(x + y) % n for x, y in starter])[:rho]
             rows = [_starter_row(n, starter, g) for g in firsts]
         return FactorSelection(
-            ell,
             tuple(tuple(sorted(row.values())) for row in rows),
             tuple(row[0] for row in rows),
         )
@@ -446,7 +435,6 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
         return tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in factor))
 
     return FactorSelection(
-        ell,
         tuple(relabelled(_circle_factor(ell, r)) for _, r in matching[:rho]),
         tuple((2 * j, 2 * j + 1) for j in range(rho)),
     )

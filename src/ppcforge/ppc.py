@@ -36,10 +36,6 @@ class PpcResult:
     # else (): a point set meeting every block, checkable in O(b)
     cover: Tuple[int, ...] = ()
 
-    def __iter__(self):
-        # convenience: size, witness = solve_max_ppc(...)
-        return iter((self.size, self.witness))
-
 
 def greedy_ppc(design: Design) -> List[Block]:
     """First-fit disjoint blocks; a quick lower bound for the exact search."""

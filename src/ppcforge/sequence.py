@@ -96,9 +96,17 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     """
     v = design.v
     perm = tuple(perm)
-    if sorted(perm) != list(range(v)):
+    # ints only, as validate's points: type(), since bool subclasses int
+    if not all(type(p) is int for p in perm) or sorted(perm) != list(range(v)):
         raise NotPermutation(f"expected a permutation of 0..{v - 1}")
-    oracle = _WindowOracle(design)
+    violation = _first_union(_WindowOracle(design), perm)
+    return Sequencing(perm, violation is None, violation)
+
+
+def _first_union(oracle: _WindowOracle, perm: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+    """The first window (t, start) of ``perm`` that ``oracle`` partitions,
+    t = 1, 2, ... and each t left to right, or None when no window does."""
+    v = len(perm)
     for t in range(1, min(v // 3, oracle.tau) + 1):
         width = 3 * t
         mask = 0
@@ -107,13 +115,13 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
         start = 0
         while True:
             if oracle.partitions(mask):
-                return Sequencing(perm, False, (t, start))
+                return t, start
             if start + width >= v:
                 break
             mask &= ~(1 << perm[start])
             mask |= 1 << perm[start + width]
             start += 1
-    return Sequencing(perm, True)
+    return None
 
 
 def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
@@ -208,10 +216,11 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
         raise SearchTooDeep(counter.what, v) from None
     if not found:
         return SearchOutcome(None, True, counter.nodes, "exhaustion")
-    perm = [(placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v)]
-    seq = check_sequencing(design, perm)
-    assert seq.valid
-    return SearchOutcome(seq, False, counter.nodes)
+    perm = tuple((placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v))
+    # the search tested every window of perm, so this self-check answers
+    # each from the oracle's memo or its cover count and builds nothing
+    assert _first_union(oracle, perm) is None
+    return SearchOutcome(Sequencing(perm, True), False, counter.nodes)
 
 
 def sufficient_conditions(design: Design, rho: int) -> set:

@@ -344,7 +344,7 @@ def test_construct_rejects_a_bad_witness(monkeypatch, capsys):
     sel = pf.select_factors(8, 3)
     overlapping = (sel.reps[0], sel.reps[0], sel.reps[2])
     monkeypatch.setattr(pf.construct, "select_factors",
-                        lambda ell, rho: pf.onefactor.FactorSelection(ell, sel.factors, overlapping))
+                        lambda ell, rho: pf.onefactor.FactorSelection(sel.factors, overlapping))
     rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
     assert rc == 1 and stdout == ""
     assert stderr == f"error: representative edges {overlapping} are not 3 disjoint edges\n"

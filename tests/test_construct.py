@@ -44,7 +44,7 @@ def _overlapping_reps(ell, rho):
     meets rep 0."""
     sel = pf.select_factors(ell, rho)
     clash = next(e for e in sel.factors[1] if set(e) & set(sel.reps[0]))
-    return pf.onefactor.FactorSelection(ell, sel.factors, (sel.reps[0], clash, *sel.reps[2:]))
+    return pf.onefactor.FactorSelection(sel.factors, (sel.reps[0], clash, *sel.reps[2:]))
 
 
 def _misplaced_reps(ell, rho):
@@ -52,7 +52,7 @@ def _misplaced_reps(ell, rho):
     outside its factor."""
     sel = pf.select_factors(ell, rho)
     reps = (sel.reps[1], sel.reps[0], *sel.reps[2:])
-    return pf.onefactor.FactorSelection(ell, sel.factors, reps)
+    return pf.onefactor.FactorSelection(sel.factors, reps)
 
 
 @pytest.mark.parametrize("kind", pf.FACTOR_JOINS)

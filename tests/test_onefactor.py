@@ -30,10 +30,10 @@ def all_edges(ell):
 
 @pytest.mark.parametrize("ell", range(2, 42, 2))
 def test_round_robin_covers_every_edge_once(ell):
-    of = pf.round_robin(ell)
-    assert len(of.factors) == max(1, ell - 1)
+    factors = pf.round_robin(ell)
+    assert len(factors) == max(1, ell - 1)
     seen = set()
-    for factor in of.factors:
+    for factor in factors:
         pts = sorted(p for e in factor for p in e)
         assert pts == list(range(ell))  # perfect matching
         for e in factor:
@@ -122,7 +122,7 @@ def test_rainbow_matching_meets_each_factor_once():
             assert (r == a) if b == m else ((2 * r - a - b) % m == 0), (m, a, b)
         assert len({r for _, r in pairs}) == len(pairs), m
         if m < 60:
-            factors = pf.round_robin(m + 1).factors
+            factors = pf.round_robin(m + 1)
             assert all(e in factors[r] for e, r in pairs), m
     with pytest.raises(Infeasible):
         rainbow_matching(4)

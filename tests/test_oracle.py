@@ -31,6 +31,21 @@ def test_two_oracles_never_disagree(design):
     assert brute_max_ppc(design) == pf.solve_max_ppc(design).size
 
 
+def test_exact_beta_lies_in_the_bracket():
+    # every exact beta(rho, v) with v <= 8 lies in [beta_lower, beta_upper]
+    # but beta(2, 6) = 2, where the lower bound says 3: any new escape fails
+    pairs = [(rho, v) for v in range(3, 9) for rho in range(1, v // 3 + 1)]
+    assert len(pairs) == 9
+    escapes = {}
+    for rho, v in pairs:
+        res = brute_beta(rho, v)
+        assert res.complete, (rho, v)
+        lo, up = pf.beta_lower(rho, v), pf.beta_upper(rho, v)
+        if not lo <= res.value <= up:
+            escapes[rho, v] = (res.value, lo, up)
+    assert escapes == {(2, 6): (2, 3, 5)}
+
+
 def test_beta_rho1_tiny():
     assert brute_beta(1, 3).value == 1
     assert brute_beta(1, 4).value == 1

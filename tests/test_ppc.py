@@ -73,11 +73,6 @@ def test_greedy_is_a_lower_bound(bose9):
     assert len(greedy) <= exact.size
 
 
-def test_result_unpacks():
-    size, witness = pf.solve_max_ppc(pf.psts7_fixture())
-    assert size == 2 and len(witness) == 2
-
-
 @given(designs(max_v=9, max_blocks=10))
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_oracle(d):

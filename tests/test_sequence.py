@@ -41,6 +41,35 @@ def test_rejects_non_permutations():
         pf.check_sequencing(d, (0, 1, 3))
 
 
+@pytest.mark.parametrize("perm", [(0, 1.0, 2, 3, 4, 5), (False, True, 2, 3, 4, 5)])
+def test_rejects_entries_that_are_not_ints(perm):
+    # validate's rule for points: 1.0 and True are not the int 1
+    with pytest.raises(NotPermutation):
+        pf.check_sequencing(pf.validate(6, [(0, 1, 2)]), perm)
+
+
+def test_search_builds_one_window_oracle(monkeypatch, example11):
+    built = []
+
+    class Counted(_WindowOracle):
+        def __init__(self, design):
+            built.append(design)
+            super().__init__(design)
+
+    monkeypatch.setattr(pf.sequence, "_WindowOracle", Counted)
+    out = pf.find_sequencing(example11.design)
+    assert out.found and len(built) == 1
+    # the checker stays independent of the search: it builds its own
+    assert pf.check_sequencing(example11.design, out.sequencing.perm).valid
+    assert len(built) == 2
+
+
+def test_found_sequencing_must_pass_the_self_check(monkeypatch, psts7):
+    monkeypatch.setattr(pf.sequence, "_first_union", lambda oracle, perm: (1, 0))
+    with pytest.raises(AssertionError):
+        pf.find_sequencing(psts7)
+
+
 def test_find_sequencing_psts7(psts7):
     out = pf.find_sequencing(psts7)
     assert out.found
