@@ -130,14 +130,16 @@ def _cmd_sequence_find(args: argparse.Namespace) -> int:
     if outcome.found:
         text = sequencing_to_text(design.v, outcome.sequencing.perm)
         _emit(text, args.out)
-        if args.out:
-            print(f"sequencing found ({outcome.nodes} nodes)")
+        # stdout holds the sequencing itself unless it went to --out
+        print(f"sequencing found ({outcome.nodes} nodes)",
+              file=sys.stdout if args.out else sys.stderr)
         return 0
     if outcome.proven_nonsequenceable:
         print("nonsequenceable: the search space was exhausted")
         print(f"proof: {outcome.proof}, {outcome.nodes} nodes", file=sys.stderr)
         return 2
-    print("not found within budget (not a nonsequenceability proof)", file=sys.stderr)
+    print(f"not found within budget ({outcome.nodes} nodes; not a nonsequenceability proof)",
+          file=sys.stderr)
     return 3
 
 

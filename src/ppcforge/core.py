@@ -69,7 +69,8 @@ class SearchTooDeep(ToolkitError):
 class Budget:
     """Node counter of one search: ``tick`` raises ``Exhausted`` on the
     first node past ``limit``.  A search that reports a best-so-far catches
-    it once, at its top."""
+    it once, at its top.  A hot search may count its nodes locally and, on
+    the first node past the limit, set ``nodes = limit`` and call ``tick``."""
 
     __slots__ = ("limit", "what", "nodes")
 

@@ -10,7 +10,11 @@ the search look only at windows with t up to the size tau of one greedy
 transversal, and a window with fewer than t of its points is rejected
 before any exact-cover search.
 ``find_sequencing`` searches for such a permutation by prefix backtracking,
-pruning every prefix whose tail window partitions.
+pruning every prefix whose tail window partitions.  Each (window, point)
+pair goes to the exact-cover test at most once per search, and two flat
+masks per window keep the verdicts: a node filters its candidates through
+them from the widest window down and stops at the first window that leaves
+none.
 It proves a design nonsequenceable in one of two ways: a spanning class
 (v = 3t and the whole point set is a union of t blocks, so the last window
 of every permutation partitions) closes it at the root, and otherwise only
@@ -143,7 +147,14 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
 
     Only windows with t up to the size tau of the oracle's transversal are
     built: no other window partitions, so the tree is the one all windows
-    give.  ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
+    give.  Each window of 3t-1 placed points keeps two search-wide masks:
+    the points tested with it (``tested``) and those that complete it to a
+    union of t blocks (``kills``).  A node drops the killed points from its
+    candidates window by window, from t = tau down to t = 1, since the
+    widest window is the one most nodes die at, and returns as soon as none
+    is left.  A candidate some window has not yet tested goes to the oracle
+    in increasing t, so the order of the windows changes no answer and no
+    node count.  ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
     search; a search that runs out of it finds and proves nothing.  Raises
     ``SearchTooDeep`` when the search nests deeper than the interpreter's
     recursion limit.
@@ -152,54 +163,57 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     oracle = _WindowOracle(design)
     partitions = oracle.partitions
     counter = Budget(budget, "sequencing search")
-    tick = counter.tick
+    nodes = 0  # counted here; the counter ticks only past the limit, to raise
     # placed[d] holds the bits of the first d placed points, so the window of
     # the placed points from position lo on is placed[depth] ^ placed[lo]
     placed = [0] * (v + 1)
-    # starts[depth] lists those lo for the windows of 3t-1 placed points that
-    # a new point completes to 3t, for t = 1..tau in increasing order
-    starts = [tuple(range(d - 2, max(d - 3 * oracle.tau - 2, -1), -3)) for d in range(v)]
-    # window of 3t-1 placed points -> [points tested with it, points that
-    # complete it to a union of t blocks, the window]; one entry per window
+    # widest[depth] lists those lo for the windows of 3t-1 placed points that
+    # a new point completes to 3t, for t = tau..1: the widest window first
+    widest = [tuple(range(d - 2, max(d - 3 * oracle.tau - 2, -1), -3))[::-1] for d in range(v)]
+    # window of 3t-1 placed points -> the points tested with it, and the
+    # points that complete it to a union of t blocks; one entry per window
     # for the whole search, so no (window, point) pair is tested twice
-    verdicts: Dict[int, List[int]] = {}
-    lookup = verdicts.get
+    tested: Dict[int, int] = {}
+    kills: Dict[int, int] = {}
+    tried = tested.get
+    killed = kills.get
 
-    def completes(windows: List[List[int]], bit: int) -> bool:
+    def completes(here: int, depth: int, bit: int) -> bool:
         # a point already tested with a window does not complete it: the
         # completers left the candidates, and no descendant shares these
         # windows (each of its windows holds a point not placed here)
-        for verdict in windows:
-            if not verdict[0] & bit:
-                verdict[0] |= bit
-                if partitions(verdict[2] | bit):
-                    verdict[1] |= bit
+        for lo in reversed(widest[depth]):
+            window = here ^ placed[lo]
+            done = tried(window, 0)
+            if not done & bit:
+                tested[window] = done | bit
+                if partitions(window | bit):
+                    kills[window] = killed(window, 0) | bit
                     return True
         return False
 
     def extend(free: int, depth: int) -> bool:
-        tick()
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            counter.nodes = budget
+            counter.tick()
         if depth == v:
             return True
         here = placed[depth]
         candidates = free
         seen = -1  # points every window has tested; they pass them all
-        for lo in starts[depth]:
-            base = here ^ placed[lo]
-            verdict = lookup(base)
-            if verdict is None:
-                verdict = verdicts[base] = [0, 0, base]
-            candidates &= ~verdict[1]
-            seen &= verdict[0]
-        windows = None  # verdicts of the last 3t-1 placed points, t = 1, 2, ...
+        for lo in widest[depth]:
+            window = here ^ placed[lo]
+            candidates &= ~killed(window, 0)
+            if not candidates:
+                return False
+            seen &= tried(window, 0)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
-            if not bit & seen:
-                if windows is None:
-                    windows = [verdicts[here ^ placed[lo]] for lo in starts[depth]]
-                if completes(windows, bit):
-                    continue
+            if not bit & seen and completes(here, depth, bit):
+                continue
             placed[depth + 1] = here | bit
             if extend(free ^ bit, depth + 1):
                 return True
@@ -207,7 +221,7 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
 
     try:
         if v % 3 == 0 and partitions((1 << v) - 1):
-            tick()
+            counter.tick()
             return SearchOutcome(None, True, counter.nodes, "spanning class")
         found = extend((1 << v) - 1, 0)
     except Exhausted:
@@ -215,12 +229,12 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     except RecursionError:
         raise SearchTooDeep(counter.what, v) from None
     if not found:
-        return SearchOutcome(None, True, counter.nodes, "exhaustion")
+        return SearchOutcome(None, True, nodes, "exhaustion")
     perm = tuple((placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v))
     # the search tested every window of perm, so this self-check answers
     # each from the oracle's memo or its cover count and builds nothing
     assert _first_union(oracle, perm) is None
-    return SearchOutcome(Sequencing(perm, True), False, counter.nodes)
+    return SearchOutcome(Sequencing(perm, True), False, nodes)
 
 
 def sufficient_conditions(design: Design, rho: int) -> set:

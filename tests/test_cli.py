@@ -245,10 +245,23 @@ def test_bounds_text_format(capsys):
 def test_sequence_find_then_check(tmp_path, capsys):
     dpath = write_design(tmp_path, pf.psts7_fixture())
     spath = tmp_path / "seq.txt"
-    rc, stdout, _ = run(capsys, "sequence", "find", dpath, "--out", str(spath))
-    assert rc == 0 and "sequencing found" in stdout
+    nodes = pf.find_sequencing(pf.psts7_fixture()).nodes
+    rc, stdout, stderr = run(capsys, "sequence", "find", dpath, "--out", str(spath))
+    assert rc == 0 and stdout == f"sequencing found ({nodes} nodes)\n" and stderr == ""
+    # without --out stdout is the sequencing file, byte for byte, and the
+    # node count goes to stderr
+    rc, stdout, stderr = run(capsys, "sequence", "find", dpath)
+    assert rc == 0 and stdout == spath.read_text()
+    assert stderr == f"sequencing found ({nodes} nodes)\n"
     rc, stdout, _ = run(capsys, "sequence", "check", dpath, str(spath))
     assert rc == 0 and stdout == "valid sequencing\n"
+
+
+def test_sequence_find_names_the_nodes_of_an_exhausted_budget(tmp_path, capsys):
+    dpath = write_design(tmp_path, pf.factor_join_packed(4, 10).design)
+    rc, stdout, stderr = run(capsys, "sequence", "find", dpath, "--budget", "1000")
+    assert rc == 3 and stdout == ""
+    assert stderr == "not found within budget (1001 nodes; not a nonsequenceability proof)\n"
 
 
 def test_sequence_check_reports_violation(tmp_path, capsys):

@@ -9,7 +9,7 @@ import ppcforge as pf
 from ppcforge.ppc import greedy_transversal
 from ppcforge.sequence import NotPermutation, SearchTooDeep, _WindowOracle
 
-from conftest import designs
+from conftest import designs, linear_subset
 
 
 def psts3():
@@ -122,8 +122,13 @@ def test_node_counts_are_pinned(example11):
         # tau = 11 < v/3 = 17: the windows with t > tau never partition, and
         # their exact-cover memo would take over a GB, so none is built
         (pf.factor_join(11, 40).design, 52, tuple(range(51))),
+        # a PSTS(13) with maximum PPC 3, so C1 holds, that no construction made
+        (pf.validate(13, [(0, 2, 5), (0, 3, 10), (1, 4, 8), (1, 5, 11), (2, 4, 11),
+                          (2, 6, 10), (2, 7, 12), (3, 4, 12), (3, 9, 11), (4, 5, 9),
+                          (5, 6, 7), (6, 11, 12), (7, 8, 10)]),
+         370_234, (0, 1, 2, 4, 3, 5, 6, 8, 7, 9, 10, 11, 12)),
     ):
-        out = pf.find_sequencing(design, budget=300_000)
+        out = pf.find_sequencing(design, budget=1_000_000)
         assert (out.nodes, out.sequencing.perm) == (nodes, perm)
 
 
@@ -137,6 +142,47 @@ def test_grid_outcomes_are_pinned():
         digest.update(repr((out.found, perm, out.nodes, out.proof)).encode())
     assert digest.hexdigest() == (
         "3af2f9a49e61a530d6fbe537791c1c9562605dd78bb00c01d85062c0d6860472")
+
+
+def random_psts(rng, v, b):
+    """``b`` random triples on ``v`` points, no pair in two of them."""
+    pairs, blocks = set(), []
+    while len(blocks) < b:
+        t = tuple(sorted(rng.sample(range(v), 3)))
+        tp = {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
+        if not tp & pairs:
+            pairs |= tp
+            blocks.append(t)
+    return pf.validate(v, blocks)
+
+
+def seeded_psts(seed, count):
+    """``count`` random PSTS(7..22) with b <= min(v, v(v-1)/12)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = rng.randint(7, 22)
+        out.append(random_psts(rng, v, rng.randint(1, min(v, v * (v - 1) // 12))))
+    return out
+
+
+def maximal_psts(rng, v):
+    """A PSTS(v) no triple can extend, from the triples in random order."""
+    pool = list(itertools.combinations(range(v), 3))
+    rng.shuffle(pool)
+    return pf.validate(v, linear_subset(pool))
+
+
+def test_random_outcomes_are_pinned():
+    # sha256 of repr((found, perm, nodes, proof)) at a 100k-node budget for
+    # designs no construction made: the tree and its order stay fixed
+    digest = hashlib.sha256()
+    for design in seeded_psts(17, 60):
+        out = pf.find_sequencing(design, budget=100_000)
+        perm = out.sequencing.perm if out.found else None
+        digest.update(repr((out.found, perm, out.nodes, out.proof)).encode())
+    assert digest.hexdigest() == (
+        "09d06e29d238dfa962fca3cce3b94d5600df5c7f388c08d33591680d32ac34de")
 
 
 def test_exhausted_search_stops_at_the_node_past_its_budget():
@@ -237,8 +283,25 @@ def test_every_flagged_grid_design_is_sequenced():
         d = pf.FACTOR_JOINS[variant](rho, ell).design
         if pf.sufficient_conditions(d, rho):
             flagged += 1
-            assert pf.find_sequencing(d).found, (variant, rho, ell)
+            out = pf.find_sequencing(d)
+            assert out.found and not out.proven_nonsequenceable, (variant, rho, ell)
     assert flagged == 90
+
+
+def test_flagged_random_designs_are_never_proven_nonsequenceable():
+    # C1, C2 and C3 each guarantee a sequencing, so no search may prove a
+    # flagged design nonsequenceable; sparse designs and maximal ones
+    rng = random.Random(5)
+    instances = seeded_psts(5, 200) + [maximal_psts(rng, rng.randint(4, 22)) for _ in range(300)]
+    flagged = 0
+    for design in instances:
+        solved = pf.solve_max_ppc(design)
+        assert solved.optimal
+        if pf.sufficient_conditions(design, solved.size):
+            flagged += 1
+            out = pf.find_sequencing(design, budget=20_000)
+            assert not out.proven_nonsequenceable, design
+    assert flagged == 268
 
 
 def test_every_grid_design_with_a_spanning_class_is_proven_at_once():
