@@ -2,7 +2,9 @@
 """Construction verification sweep.
 
 Builds every variant over a (rho, ell) grid, proves each design's maximum
-PPC with the exact solver, and prints one report row per design.  The
+PPC with the exact solver, profiles the proven class with
+``extension_profile`` as the acceptance sweep does, and prints one report
+row per design.  A row marked BUDGET, EXPECTED or NOTMAX is a failure.  The
 defaults match the acceptance gate (rho 1..5, even ell up to 24); pass
 --rho-max/--ell-max to push further.
 """
@@ -29,14 +31,18 @@ def main() -> int:
         t0 = time.perf_counter()
         witness = pf.FACTOR_JOINS[kind](rho, ell)
         solved = pf.solve_max_ppc(witness.design, budget=args.budget)
-        dt = time.perf_counter() - t0
         mark = ""
         if not solved.optimal:
             mark = "  BUDGET"
-            failures += 1
         elif solved.size != rho:
             mark = f"  EXPECTED {rho}"
-            failures += 1
+        else:
+            try:
+                pf.extension_profile(witness.design, solved)
+            except pf.ppc.NotMaximum:
+                mark = "  NOTMAX"
+        dt = time.perf_counter() - t0
+        failures += bool(mark)
         print(f"{kind:8} {rho:>3} {ell:>3} {witness.design.v:>3} "
               f"{witness.design.b:>4} {solved.size:>6} {solved.nodes:>8} "
               f"{dt:>7.3f}s{mark}")

@@ -131,18 +131,15 @@ def factor_join_odd(rho: int, ell: int) -> ConstructionWitness:
             f"every T-point lies on a representative edge (ell={ell}, rho={rho})"
         )
     x = eligible[0]
-
-    def relabel(p: int) -> int:
-        return p - 1 if p > x else p
-
-    kept = [blk for blk in packed.design.blocks if x not in blk]
-    assert len(packed.design.blocks) - len(kept) == rho
-    blocks = [tuple(sorted(relabel(p) for p in blk)) for blk in kept]
-    v = rho + ell - 1
-    design = validate(v, blocks)
-    witness = tuple(
-        sorted(tuple(sorted(relabel(p) for p in blk)) for blk in packed.witness_ppc)
-    )
+    # p - (p > x) closes the gap and keeps the order of the points left, so
+    # every block stays ascending and the witness stays sorted
+    blocks = [
+        (a - (a > x), b - (b > x), c - (c > x))
+        for a, b, c in packed.design.blocks if x not in (a, b, c)
+    ]
+    assert len(packed.design.blocks) - len(blocks) == rho
+    design = validate(rho + ell - 1, blocks)
+    witness = tuple((a - (a > x), b - (b > x), c - (c > x)) for a, b, c in packed.witness_ppc)
     s_points = tuple(range(ell - 1, ell - 1 + rho))
     return ConstructionWitness(design, rho, witness, s_points)
 

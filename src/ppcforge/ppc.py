@@ -7,9 +7,10 @@ incumbent and ``greedy_transversal`` an upper bound, since no PPC is larger
 than a point set meeting every block (weak duality, nu <= tau).  When the
 two meet, the maximum is proven without a search, and the transversal is
 the certificate.  The solver builds one table of the blocks through each
-point per solve and takes both its search and its transversal from it;
-below the root, a branch that skips a point is entered only when the
-points left free could still beat the incumbent.  ``extension_profile``
+point per solve and takes both its search and its transversal from it,
+and a table of the blocks each block meets only when the root does not
+close; below the root, a branch that skips a point is entered only when
+the points left free could still beat the incumbent.  ``extension_profile``
 inspects a design together with a claimed maximum PPC and reports, for
 each point the class covers, how many blocks hang off it into the
 uncovered part -- certifying either that the standard swap arguments
@@ -53,9 +54,11 @@ def greedy_ppc(design: Design) -> List[Block]:
 def _through(design: Design) -> List[int]:
     """Bitmask of the block indices through each point."""
     through = [0] * design.v
-    for i, blk in enumerate(design.blocks):
-        for p in blk:
-            through[p] |= 1 << i
+    for i, (a, b, c) in enumerate(design.blocks):
+        bit = 1 << i
+        through[a] |= bit
+        through[b] |= bit
+        through[c] |= bit
     return through
 
 
@@ -103,7 +106,9 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
     has a transversal of size rho (its apex points), and its search closes
     this way at node 1 when the greedy transversal and class both reach
     rho.  The transversal is then returned as ``cover``, an optimality
-    certificate checkable in O(b); otherwise ``cover`` is ().
+    certificate checkable in O(b); otherwise ``cover`` is ().  The clash
+    table (for each block, the blocks meeting it) is built only when the
+    root does not close: only the search below the root chooses blocks.
 
     Below the root the search branches on the point with the fewest usable
     blocks, lowest label on ties: either some block through that point
@@ -126,12 +131,12 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
     v = design.v
     blocks = design.blocks
     through = _through(design)
-    # choosing block i discards every block that meets it
-    clash = [through[a] | through[b] | through[c] for a, b, c in blocks]
-
     best = greedy_ppc(design)
     best_size = len(best)
     cover = _greedy_transversal(through, len(blocks))
+    # choosing block i discards every block that meets it; a closed root chooses none
+    clash = [] if best_size == len(cover) else [
+        through[a] | through[b] | through[c] for a, b, c in blocks]
     counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
 
@@ -245,18 +250,17 @@ def extension_profile(
             raise ValueError("profile needs a proven-maximum class")
         ppc = ppc.witness
     covered = class_points(design, ppc)
-    unc = set(range(design.v)) - covered
+    mask = sum(1 << p for p in covered)
     t: Dict[int, int] = {p: 0 for p in sorted(covered)}
     for a, b, c in design.blocks:
-        outside = [p for p in (a, b, c) if p in unc]
-        if len(outside) == 3:
+        inside = (mask >> a & 1) + (mask >> b & 1) + (mask >> c & 1)
+        if inside == 1:
+            t[a if mask >> a & 1 else b if mask >> b & 1 else c] += 1
+        elif not inside:
             raise NotMaximum(
                 f"block ({a},{b},{c}) is disjoint from the class; "
                 f"size {len(ppc)} is not maximum"
             )
-        if len(outside) == 2:
-            inside = next(p for p in (a, b, c) if p not in unc)
-            t[inside] += 1
 
     x0 = tuple(p for p in sorted(covered) if t[p] > 0)
     x0set = set(x0)

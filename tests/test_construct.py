@@ -153,6 +153,20 @@ def test_max_packing_leave_by_residue(rho):
     assert sum(degrees) == 2 * _leave_pairs(rho)
 
 
+def test_grid_builds_are_pinned():
+    # every block, witness class and apex set of the 143 sweep builds; a
+    # relabelling of the trimmed variant or a canonical form of validate
+    # that moves any of them changes the digest
+    builds = []
+    for kind, rho, ell in pf.sweep_grid():
+        w = pf.FACTOR_JOINS[kind](rho, ell)
+        builds.append((w.design.blocks, w.witness_ppc, w.s_points))
+    assert len(builds) == 143
+    assert hashlib.sha256(repr(builds).encode()).hexdigest() == (
+        "ba58fa29b643dc1c94f44ebc0a6d8c22c7c317e4b85a00b2cca4a82fdf47e4f2"
+    )
+
+
 def test_max_packing_small_rho_unchanged():
     # the packings of rho <= 10 are kept as they were before the closed
     # forms: the stored construct outputs and the benchmark designs use them

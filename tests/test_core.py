@@ -1,13 +1,15 @@
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppcforge as pf
 from ppcforge.core import read_ppc_comments
 
-from conftest import designs
+from conftest import designs, linear_subset
 
 
 def test_valid_psts7(psts7):
@@ -156,3 +158,107 @@ def test_serialization_bijective(d):
 def test_no_validated_design_outgrows_the_packing_number(d):
     # linearity alone caps b at D(v), so ``verify`` needs no block-count check
     assert d.b <= pf.packing_number(d.v)
+
+
+def reference_validate(v, blocks):
+    """``validate`` with every block sorted and one dict of pairs: the
+    plain form the pair-code check must agree with."""
+    if type(v) is not int or v < 1:
+        raise pf.OutOfRange(f"point count must be a positive integer, got {v!r}")
+    canon = []
+    for raw in blocks:
+        try:
+            a, b, c = sorted(raw)
+        except (TypeError, ValueError):
+            a = None
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            a, b, c = reference_int_points(raw)
+        if a == b or b == c:
+            raise pf.RepeatedPoint(f"block {tuple(raw)} repeats a point")
+        if a < 0 or c >= v:
+            raise pf.OutOfRange(f"block {(a, b, c)} is outside points 0..{v - 1}")
+        canon.append((a, b, c))
+    canon.sort()
+    seen = {}
+    for blk in canon:
+        a, b, c = blk
+        for pair in ((a, b), (a, c), (b, c)):
+            first = seen.setdefault(pair, blk)
+            if first is not blk:
+                raise pf.PairViolation(pair, first, blk)
+    return pf.Design(v, tuple(canon))
+
+
+def reference_int_points(raw):
+    if len(raw) != 3:
+        raise pf.ParseError(f"block {raw!r} does not have exactly 3 points")
+    try:
+        pts = [int(p) if type(p) is str else p for p in raw]
+    except ValueError as exc:
+        raise pf.ParseError(f"block {raw!r} has a non-integer point") from exc
+    if not all(type(p) is int for p in pts):
+        raise pf.ParseError(f"block {raw!r} has a non-integer point")
+    a, b, c = sorted(pts)
+    return a, b, c
+
+
+@st.composite
+def block_lists(draw):
+    """A point count and a block list: a linear design, perhaps broken in
+    one way, with its points shuffled within blocks and some written as
+    decimal strings."""
+    v = draw(st.integers(min_value=1, max_value=10))
+    pool = list(combinations(range(v), 3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)) if pool else []
+    blocks = [list(blk) for blk in linear_subset(picks)]
+    fault = draw(st.sampled_from(["none", "clash", "twice", "repeat", "range", "length",
+                                  "type"]))
+    if fault in ("clash", "twice") and blocks:
+        blk = draw(st.sampled_from(blocks))
+        if fault == "clash":  # a new block on one of its three pairs
+            x, y = draw(st.sampled_from([(blk[0], blk[1]), (blk[0], blk[2]), (blk[1], blk[2])]))
+            z = draw(st.sampled_from([p for p in range(-1, v + 1) if p not in blk]))
+            blk = [x, y, z]
+        blocks.insert(draw(st.integers(0, len(blocks))), list(blk))
+    elif fault == "repeat":
+        x, y = draw(st.integers(0, v)), draw(st.integers(0, v))
+        blocks.append([x, y, x])
+    elif fault == "range":
+        blocks.append([draw(st.sampled_from([-2, -1, v, v + 1])), 0, 1])
+    elif fault == "length":
+        blocks.append(draw(st.lists(st.integers(0, v - 1), min_size=0, max_size=5)
+                           .filter(lambda pts: len(pts) != 3)))
+    elif fault == "type":
+        odd = draw(st.sampled_from([True, False, 1.0, 2.5, "x", "", None, b"1"]))
+        blocks.append([odd, 0, 1])
+    out = []
+    for blk in draw(st.permutations(blocks)):
+        pts = [str(p) if type(p) is int and draw(st.booleans()) else p
+               for p in draw(st.permutations(blk))]
+        out.append(draw(st.sampled_from([tuple, list]))(pts))
+    return v, out
+
+
+def outcome(fn, v, blocks):
+    try:
+        return fn(v, blocks)
+    except Exception as exc:  # the class and message are what must agree
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_lists())
+@example((5, [(4, 3, 1), (0, 2, 1)]))
+@example((11, [("10", "2", "3"), ["0", "1", "2"]]))
+@example((7, [(3, 4, 5), (True, 2, 3)]))
+@example((7, [(0, 1, 2.0)]))
+@example((7, [(1, 2), (0, 1, 2, 3)]))
+@example((7, [(2, 1, 1)]))
+@example((4, [(0, 1, 5), (-1, 1, 2)]))
+@example((7, [(0, 1, 2), (0, 1, 3)]))
+@example((7, [(0, 1, 2), (0, 2, 3)]))
+@example((7, [(0, 1, 2), (1, 2, 3)]))
+@example((7, [(2, 1, 0), (0, 1, 2)]))
+def test_validate_matches_the_reference(case):
+    v, blocks = case
+    assert outcome(pf.validate, v, blocks) == outcome(reference_validate, v, blocks)

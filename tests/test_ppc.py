@@ -1,13 +1,14 @@
 import hashlib
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
-from ppcforge.ppc import NotMaximum, extension_profile
+from ppcforge.ppc import ExtensionProfile, NotMaximum, class_points, extension_profile
 
 from conftest import designs, fano_union, linear_subset, recursion_headroom
 
@@ -264,3 +265,88 @@ def test_condition_tags_partition_the_class(sweep):
         prof = extension_profile(witness.design, witness.witness_ppc)
         assert len(prof.block_conditions) == rho
         assert {blk for blk, _ in prof.block_conditions} == set(witness.witness_ppc)
+
+
+def reference_profile(design, ppc):
+    """``extension_profile`` with the uncovered points as a set and each
+    block's outside points listed: the plain form the bitmask count must
+    agree with.  The guards that no valid input reaches are left out."""
+    if isinstance(ppc, pf.PpcResult):
+        ppc = ppc.witness
+    covered = class_points(design, ppc)
+    unc = set(range(design.v)) - covered
+    t = {p: 0 for p in sorted(covered)}
+    for a, b, c in design.blocks:
+        outside = [p for p in (a, b, c) if p in unc]
+        if len(outside) == 3:
+            raise NotMaximum(
+                f"block ({a},{b},{c}) is disjoint from the class; "
+                f"size {len(ppc)} is not maximum"
+            )
+        if len(outside) == 2:
+            t[next(p for p in (a, b, c) if p not in unc)] += 1
+    x0 = tuple(p for p in sorted(covered) if t[p] > 0)
+    rho, v = len(ppc), design.v
+    tags, tight = [], []
+    for key in sorted(tuple(sorted(b)) for b in ppc):
+        counts = sorted((t[p] for p in key), reverse=True)
+        if counts[0] >= 3 and counts[1] >= 1:
+            raise NotMaximum(
+                f"class block {key} trades for two blocks through its "
+                f"high-t points; size {rho} is not maximum"
+            )
+        ssum = sum(counts)
+        if sum(1 for p in key if p in x0) >= 2:
+            tags.append((key, 1))
+        else:
+            tags.append((key, 2))
+            if 2 * ssum == v - 3 * rho:
+                tight.append(key)
+    return ExtensionProfile(rho, t, tuple(sorted(covered)), x0, tuple(tags), tuple(tight))
+
+
+def profile_outcome(fn, design, ppc):
+    """The profile, equal to another only field by field, or the message."""
+    try:
+        return fn(design, ppc)
+    except NotMaximum as exc:
+        return str(exc)
+
+
+def test_profile_matches_the_reference_on_the_grid(sweep):
+    for kind, rho, ell, witness, solved in sweep:
+        for klass in (witness.witness_ppc, solved):
+            got = profile_outcome(extension_profile, witness.design, klass)
+            assert got == profile_outcome(reference_profile, witness.design, klass), (kind, rho, ell)
+            assert not isinstance(got, str)
+
+
+def first_fit(blocks):
+    """The blocks kept by one pass that takes each block missing the ones kept."""
+    kept, used = [], set()
+    for blk in blocks:
+        if not used & set(blk):
+            kept.append(blk)
+            used |= set(blk)
+    return kept
+
+
+def test_profile_matches_the_reference_on_random_designs():
+    # a first-fit class, in either block order, is maximal, and on these
+    # dense designs sometimes not maximum by the swap certificate; less one
+    # block, it leaves that block disjoint from it, so the first certificate
+    # fires
+    rng = random.Random("profile-reference")
+    seen = Counter()
+    for _ in range(200):
+        v = rng.randint(7, 30)
+        pool = list(combinations(range(v), 3))
+        rng.shuffle(pool)
+        design = pf.validate(v, linear_subset(pool)[:rng.randint(v, 3 * v)])
+        greedy = pf.greedy_ppc(design)
+        last_fit = first_fit(reversed(design.blocks))
+        for klass in (greedy, greedy[:-1], last_fit):
+            got = profile_outcome(extension_profile, design, klass)
+            assert got == profile_outcome(reference_profile, design, klass), (v, design.blocks)
+            seen["profile" if not isinstance(got, str) else got.split()[0]] += 1
+    assert seen["profile"] >= 300 and seen["block"] == 200 and seen["class"] >= 8, seen
