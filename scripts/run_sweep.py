@@ -2,9 +2,11 @@
 """Construction verification sweep.
 
 Builds every variant over a (rho, ell) grid, proves each design's maximum
-PPC with the exact solver, profiles the proven class with
+PPC with the exact solver, checks the build's own certificate (its witness
+class and apex points) with ``certify``, profiles the proven class with
 ``extension_profile`` as the acceptance sweep does, and prints one report
-row per design.  A row marked BUDGET, EXPECTED or NOTMAX is a failure.  The
+row per design.  A row marked BUDGET, EXPECTED, NOCERT (the certificate
+fails or disagrees with the solver) or NOTMAX is a failure.  The
 defaults match the acceptance gate (rho 1..5, even ell up to 24); pass
 --rho-max/--ell-max to push further.
 """
@@ -31,11 +33,17 @@ def main() -> int:
         t0 = time.perf_counter()
         witness = pf.FACTOR_JOINS[kind](rho, ell)
         solved = pf.solve_max_ppc(witness.design, budget=args.budget)
+        try:
+            certified = pf.certify(witness.design, witness.witness_ppc, witness.s_points)
+        except pf.ppc.BadCertificate:
+            certified = None
         mark = ""
         if not solved.optimal:
             mark = "  BUDGET"
         elif solved.size != rho:
             mark = f"  EXPECTED {rho}"
+        elif certified != solved.size:
+            mark = "  NOCERT"
         else:
             try:
                 pf.extension_profile(witness.design, solved)

@@ -67,15 +67,18 @@ class ConstructionWitness:
     s_points: Tuple[int, ...]
 
 
-def _join(rho: int, ell: int, packing: Sequence[Block]) -> ConstructionWitness:
+def _join(rho: int, ell: int, packing: Sequence[Block], trim: bool = False) -> ConstructionWitness:
     """The factor join of ``select_factors(ell, rho)`` with ``packing``, a
-    PSTS(rho), placed on the apex points ell..ell+rho-1.
+    PSTS(rho), placed on the apex points ell..ell+rho-1; with ``trim``,
+    less the smallest T-point on no representative edge and the rho blocks
+    through it, labels above it shifted down by one.
 
-    The selection is checked, not trusted: ``validate`` rejects an edge
-    used twice and two edges of one factor that share a point (their
-    blocks share the pair with the apex), the block count then makes every
-    factor perfect, and the reps must be pairwise disjoint with rep j in
-    factor j, so the witness blocks are rho disjoint blocks of the design.
+    The selection is checked, not trusted: the reps must be pairwise
+    disjoint with rep j in factor j, so the witness blocks are rho disjoint
+    blocks of the design.  The design returned, and only that one, is
+    validated: ``validate`` rejects an edge used twice and two edges of one
+    factor that share a point (their blocks share the pair with the apex),
+    and the block count then makes every factor perfect.
     """
     sel = select_factors(ell, rho)
     rep_points = {p for rep in sel.reps for p in rep}
@@ -87,9 +90,22 @@ def _join(rho: int, ell: int, packing: Sequence[Block]) -> ConstructionWitness:
     blocks = [(a, b, ell + j) for j, factor in enumerate(sel.factors) for a, b in factor]
     blocks += [(ell + p, ell + q, ell + r) for p, q, r in packing]
     assert len(blocks) == rho * ell // 2 + len(packing)
-    design = validate(rho + ell, blocks)
-    witness = tuple(sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps)))
-    return ConstructionWitness(design, rho, witness, tuple(range(ell, ell + rho)))
+    witness = sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps))
+    v = rho + ell
+    if trim:
+        x = next((p for p in range(ell) if p not in rep_points), None)
+        if x is None:
+            raise NoDeletablePoint(
+                f"every T-point lies on a representative edge (ell={ell}, rho={rho})"
+            )
+        # p - (p > x) closes the gap and keeps the order of the points left, so
+        # every block stays ascending and the witness stays sorted
+        kept = [(a - (a > x), b - (b > x), c - (c > x))
+                for a, b, c in blocks if x not in (a, b, c)]
+        assert len(blocks) - len(kept) == rho
+        blocks, v = kept, v - 1
+        witness = [(a - (a > x), b - (b > x), c - (c > x)) for a, b, c in witness]
+    return ConstructionWitness(validate(v, blocks), rho, tuple(witness), tuple(range(v - rho, v)))
 
 
 def factor_join(rho: int, ell: int) -> ConstructionWitness:
@@ -117,31 +133,14 @@ def factor_join_packed(rho: int, ell: int) -> ConstructionWitness:
 def factor_join_odd(rho: int, ell: int) -> ConstructionWitness:
     """PSTS(rho + ell - 1) with rho*ell/2 + D(rho) - rho blocks, max PPC rho.
 
-    Start from ``factor_join_packed(rho, ell)`` with ell > 2*rho, delete the
-    smallest T-point lying on no representative edge together with the rho
-    blocks through it, and close the label gap.  The witness class survives
-    untouched (its blocks only use representative points), so the maximum
-    PPC is still exactly rho.
+    The blocks of ``factor_join_packed(rho, ell)`` with ell > 2*rho, less
+    the smallest T-point lying on no representative edge together with the
+    rho blocks through it, with the label gap closed.  The trimmed design
+    is built straight from the selection and the packing, and only it is
+    validated.  The witness class survives untouched (its blocks only use
+    representative points), so the maximum PPC is still exactly rho.
     """
-    packed = factor_join_packed(rho, ell)
-    rep_points = {p for blk in packed.witness_ppc for p in blk if p < ell}
-    eligible = [x for x in range(ell) if x not in rep_points]
-    if not eligible:
-        raise NoDeletablePoint(
-            f"every T-point lies on a representative edge (ell={ell}, rho={rho})"
-        )
-    x = eligible[0]
-    # p - (p > x) closes the gap and keeps the order of the points left, so
-    # every block stays ascending and the witness stays sorted
-    blocks = [
-        (a - (a > x), b - (b > x), c - (c > x))
-        for a, b, c in packed.design.blocks if x not in (a, b, c)
-    ]
-    assert len(packed.design.blocks) - len(blocks) == rho
-    design = validate(rho + ell - 1, blocks)
-    witness = tuple((a - (a > x), b - (b > x), c - (c > x)) for a, b, c in packed.witness_ppc)
-    s_points = tuple(range(ell - 1, ell - 1 + rho))
-    return ConstructionWitness(design, rho, witness, s_points)
+    return _join(rho, ell, max_packing(rho).blocks, trim=True)
 
 
 FACTOR_JOINS = {"pure": factor_join, "packed": factor_join_packed, "trimmed": factor_join_odd}

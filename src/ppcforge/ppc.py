@@ -15,8 +15,11 @@ inspects a design together with a claimed maximum PPC and reports, for
 each point the class covers, how many blocks hang off it into the
 uncovered part -- certifying either that the standard swap arguments
 cannot grow the class, or that the class was not maximum after all.
+``certify`` checks a class against a cover of the same size, the O(b)
+proof that the class is maximum without any search.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple, Union
 
@@ -25,6 +28,10 @@ from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, SearchTooDeep, T
 
 class NotMaximum(ToolkitError):
     """The PPC handed to ``extension_profile`` can be enlarged."""
+
+
+class BadCertificate(ToolkitError):
+    """A class and a cover handed to ``certify`` do not prove the maximum."""
 
 
 @dataclass(frozen=True)
@@ -194,18 +201,48 @@ def class_points(design: Design, blocks: Sequence[Block]) -> Set[int]:
     """The points a claimed class covers.
 
     Raises ValueError unless every block is a block of the design and no
-    two blocks share a point.
+    two blocks share a point.  The design's blocks are canonical and
+    sorted, so each class block is looked up by bisection.
     """
-    block_set = set(design.blocks)
+    rows = design.blocks
     covered: Set[int] = set()
     for blk in blocks:
-        if tuple(sorted(blk)) not in block_set:
+        key = tuple(sorted(blk))
+        try:
+            i = bisect_left(rows, key)
+        except TypeError:  # points that do not compare with ints match no block
+            i = len(rows)
+        if i == len(rows) or rows[i] != key:
             raise ValueError(f"class block {blk} is not in the design")
         for p in blk:
             if p in covered:
                 raise ValueError(f"class reuses point {p}")
             covered.add(p)
     return covered
+
+
+def certify(design: Design, klass: Sequence[Block], cover: Sequence[int]) -> int:
+    """Prove in O(b) that ``klass`` is a maximum PPC of ``design``.
+
+    ``klass`` must be ``len(cover)`` pairwise disjoint blocks of the design
+    and every block must meet ``cover``.  Each class block then holds its
+    own cover point, so no class is larger (nu <= tau) and the maximum is
+    ``len(cover)``, which is returned.  Raises ``BadCertificate`` naming
+    the first check that fails.
+    """
+    if len(klass) != len(cover):
+        raise BadCertificate(
+            f"class of {len(klass)} blocks against a cover of {len(cover)} points")
+    try:
+        class_points(design, klass)
+    except ValueError as exc:
+        raise BadCertificate(str(exc)) from None
+    met = set(cover)
+    # the largest point first: a factor join's apex points are its top labels
+    for a, b, c in design.blocks:
+        if c not in met and b not in met and a not in met:
+            raise BadCertificate(f"block {(a, b, c)} misses the cover")
+    return len(cover)
 
 
 @dataclass(frozen=True)

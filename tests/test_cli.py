@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import inspect
 import os
 import pathlib
@@ -361,6 +363,39 @@ def test_construct_rejects_a_bad_witness(monkeypatch, capsys):
     rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
     assert rc == 1 and stdout == ""
     assert stderr == f"error: representative edges {overlapping} are not 3 disjoint edges\n"
+
+
+@pytest.mark.parametrize("rho,v,head,digest", [
+    (8, 24, "PSTS(24) with b=72 blocks, variant=packed; maximum PPC = 8 verified",
+     "174fd7397932baa3623547577f263a25b5393fb34ac3c294191c2b7d3698d41e"),
+    (20, 61, "PSTS(61) with b=460 blocks, variant=trimmed; maximum PPC = 20 verified",
+     "7f656d3b16cc1e2be4817e15c5a62cd259c6c9108e308eaf481925b971296ae5"),
+])
+def test_construct_never_searches(monkeypatch, capsys, rho, v, head, digest):
+    # stdout digests recorded when construct still proved the maximum with
+    # the solver ((8, 24) took 73 nodes, so --budget 1 then exited 3)
+    def no_search(*args, **kwargs):
+        raise AssertionError("construct called solve_max_ppc")
+
+    monkeypatch.setattr(cli, "solve_max_ppc", no_search)
+    monkeypatch.setattr(pf.ppc, "solve_max_ppc", no_search)
+    rc, stdout, stderr = run(capsys, "construct", "--rho", str(rho), "--v", str(v), "--budget", "1")
+    assert rc == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    assert stderr.splitlines()[0] == head
+
+
+def test_construct_refuses_a_failed_certificate(monkeypatch, capsys):
+    real = pf.construct.FACTOR_JOINS["packed"]
+
+    def apex_swapped(rho, ell):
+        w = real(rho, ell)
+        return dataclasses.replace(w, s_points=(0, *w.s_points[1:]))
+
+    monkeypatch.setitem(pf.construct.FACTOR_JOINS, "packed", apex_swapped)
+    rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: block (1, 5, 8) misses the cover\n"
 
 
 def test_roomsquare_past_the_stored_sides_fails_at_once(capsys):

@@ -167,6 +167,21 @@ def test_grid_builds_are_pinned():
     )
 
 
+def test_trimmed_builds_are_pinned():
+    # every trimmed build with rho <= 12 and 2*rho < ell <= 52, recorded
+    # when factor_join_odd still validated the whole packed design first;
+    # building the trimmed design straight from the selection moves none
+    builds = []
+    for rho in range(1, 13):
+        for ell in range(2 * rho + 2, 53, 2):
+            w = pf.factor_join_odd(rho, ell)
+            builds.append((w.design.blocks, w.witness_ppc, w.s_points))
+    assert len(builds) == 234
+    assert hashlib.sha256(repr(builds).encode()).hexdigest() == (
+        "b2ec01a8a8c0cf0b5702e1dbb596568fc221f1d999abffa85ba5bf514a3b6ac9"
+    )
+
+
 def test_max_packing_small_rho_unchanged():
     # the packings of rho <= 10 are kept as they were before the closed
     # forms: the stored construct outputs and the benchmark designs use them

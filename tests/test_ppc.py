@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
-from ppcforge.ppc import ExtensionProfile, NotMaximum, class_points, extension_profile
+from ppcforge.ppc import (BadCertificate, ExtensionProfile, NotMaximum, certify, class_points,
+                          extension_profile)
 
 from conftest import designs, fano_union, linear_subset, recursion_headroom
 
@@ -350,3 +351,108 @@ def test_profile_matches_the_reference_on_random_designs():
             assert got == profile_outcome(reference_profile, design, klass), (v, design.blocks)
             seen["profile" if not isinstance(got, str) else got.split()[0]] += 1
     assert seen["profile"] >= 300 and seen["block"] == 200 and seen["class"] >= 8, seen
+
+
+def reference_class_points(design, blocks):
+    """``class_points`` with the design's blocks as a set: the plain form the
+    bisection must agree with."""
+    block_set = set(design.blocks)
+    covered = set()
+    for blk in blocks:
+        if tuple(sorted(blk)) not in block_set:
+            raise ValueError(f"class block {blk} is not in the design")
+        for p in blk:
+            if p in covered:
+                raise ValueError(f"class reuses point {p}")
+            covered.add(p)
+    return covered
+
+
+def class_outcome(fn, design, blocks):
+    try:
+        return fn(design, blocks)
+    except ValueError as exc:
+        return str(exc)
+
+
+def claimed_classes(design, klass, rng):
+    """``klass`` as given, with its points and blocks out of order, and with
+    a foreign or an overlapping block put in; the foreign blocks fall
+    before, between and after the design's blocks, and one is a class
+    block written as strings."""
+    rows = design.blocks
+    v = design.v
+    foreign = [t for t in [(0, 1, 2), (v - 3, v - 2, v - 1), tuple(sorted(rng.sample(range(v), 3)))]
+               if t not in rows] + [tuple(map(str, klass[0]))]
+    overlapping = [blk for blk in rows if blk not in klass and any(set(blk) & set(k) for k in klass)]
+    out = [list(klass), [blk[::-1] for blk in reversed(klass)], [], [rows[-1]], [rows[0]]]
+    for extra in foreign + overlapping[:1] + overlapping[-1:]:
+        mixed = list(klass)
+        mixed.insert(rng.randint(0, len(mixed)), extra[::-1] if rng.random() < 0.5 else extra)
+        out.append(mixed)
+    return out
+
+
+def test_class_points_matches_the_reference(sweep):
+    rng = random.Random("class-points")
+    seen = Counter()
+    cases = [(w.design, w.witness_ppc) for _, _, _, w, _ in sweep]
+    for _ in range(200):
+        v = rng.randint(7, 30)
+        pool = list(combinations(range(v), 3))
+        rng.shuffle(pool)
+        design = pf.validate(v, linear_subset(pool)[:rng.randint(v, 3 * v)])
+        cases.append((design, pf.greedy_ppc(design)))
+    for design, klass in cases:
+        for claimed in claimed_classes(design, klass, rng):
+            got = class_outcome(class_points, design, claimed)
+            assert got == class_outcome(reference_class_points, design, claimed), (design, claimed)
+            seen["points" if isinstance(got, set) else got.split()[-1]] += 1
+    assert seen["design"] >= 700 and seen["points"] >= 1500, seen
+    assert sum(n for key, n in seen.items() if key.isdigit()) >= 500, seen  # "reuses point p"
+
+
+# the packed builds past the grid that the benchmark's sweep runs through
+# construct, and the builds of the CI smoke steps
+FRONTIER = ((6, 12), (8, 16), (10, 20), (6, 24), (8, 32), (10, 30), (6, 48), (12, 36))
+CI_BUILDS = (("packed", 26, 52), ("packed", 27, 54), ("pure", 11, 40), ("packed", 3, 52))
+
+
+def test_certificate_matches_the_solver(sweep):
+    # the solver stays the referee of every certificate construct relies on
+    builds = [(w, r) for _, _, _, w, r in sweep]
+    for kind, rho, ell in [("packed", rho, ell) for rho, ell in FRONTIER] + list(CI_BUILDS):
+        w = pf.FACTOR_JOINS[kind](rho, ell)
+        builds.append((w, pf.solve_max_ppc(w.design)))
+    assert len(builds) == 143 + 8 + 4
+    for w, solved in builds:
+        assert certify(w.design, w.witness_ppc, w.s_points) == w.rho
+        assert solved.optimal and solved.size == w.rho
+        if solved.cover:
+            assert certify(w.design, solved.witness, solved.cover) == solved.size
+
+
+@given(designs())
+@settings(max_examples=60, deadline=None)
+def test_certify_is_sound(d):
+    # a greedy class against a greedy transversal: certified exactly when
+    # they have the same size, and then the maximum is that size
+    klass, cover = pf.greedy_ppc(d), pf.greedy_transversal(d)
+    if len(klass) == len(cover):
+        assert certify(d, klass, cover) == pf.brute_max_ppc(d)
+    else:
+        with pytest.raises(BadCertificate, match="against a cover of"):
+            certify(d, klass, cover)
+
+
+@pytest.mark.parametrize("klass,cover,message", [
+    (((0, 7, 8), (1, 5, 8), (4, 5, 10)), (8, 9, 10), "class reuses point 8"),
+    (((0, 7, 8), (2, 6, 9), (0, 1, 2)), (8, 9, 10), r"class block \(0, 1, 2\) is not in the design"),
+    (((0, 7, 8), (2, 6, 9), (4, 5, 10)), (0, 8, 9), r"block \(1, 6, 10\) misses the cover"),
+    (((0, 7, 8), (2, 6, 9), (4, 5, 10)), (8, 9), "class of 3 blocks against a cover of 2 points"),
+    (((0, 7, 8), (2, 6, 9)), (8, 9, 10), "class of 2 blocks against a cover of 3 points"),
+])
+def test_certify_refuses_a_bad_certificate(example11, klass, cover, message):
+    assert certify(example11.design, example11.witness_ppc, example11.s_points) == 3
+    with pytest.raises(BadCertificate, match=f"^{message}$"):
+        certify(example11.design, klass, cover)
