@@ -17,10 +17,9 @@ v+5).  This module reports the computed value; ``bound_table`` rows never
 silently substitute the smaller quoted constant.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import ToolkitError
 
@@ -115,8 +114,7 @@ def f_threshold(rho: int, v: int) -> Tuple[Fraction, bool]:
     return f, 6 * rho < v + 3
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """One table row; ``sources`` says which fields came from the generic
     formulas and which from a known exact value."""
 

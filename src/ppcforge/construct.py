@@ -21,9 +21,8 @@ sum-zero triples over Z_5 x Z_5 that witness a PPC of size 8 inside a
 parallel-class-free STS(27).
 """
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bounds import packing_number
 from .core import Block, Design, OutOfRange, ToolkitError, validate
@@ -52,8 +51,7 @@ class NotDisjoint(ToolkitError):
     """The stored triples repeat a point."""
 
 
-@dataclass(frozen=True)
-class ConstructionWitness:
+class ConstructionWitness(NamedTuple):
     """A built design plus the certificate of its claimed maximum PPC.
 
     ``witness_ppc`` holds rho pairwise disjoint blocks (the representative

@@ -9,14 +9,13 @@ limit ``NODE_LIMIT``, ``Budget``, ``Exhausted`` and ``SearchTooDeep``.
 
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
-lexicographically.  ``Design`` instances are frozen, so they are safe to
-share across threads and to use as cache keys.
+lexicographically.  ``Design`` is an immutable ``NamedTuple`` record, so it
+is safe to share across threads and to use as a cache key.
 """
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 Block = Tuple[int, int, int]
 
@@ -85,8 +84,7 @@ class Budget:
             raise Exhausted(f"{self.what} ran out of its {self.limit} nodes")
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(NamedTuple):
     """A validated PSTS(v): ``v`` points and canonically sorted blocks."""
 
     v: int

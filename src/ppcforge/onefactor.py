@@ -34,9 +34,8 @@ picks the factors, with the points relabelled so that the matching is
 edges of K_4 share a one-factor.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import NODE_LIMIT, Budget, ParseError, ToolkitError
 
@@ -80,8 +79,7 @@ class Infeasible(ToolkitError):
     """The requested factor selection cannot exist."""
 
 
-@dataclass(frozen=True)
-class RoomSquare:
+class RoomSquare(NamedTuple):
     """Grid of side ``side`` over symbols 0..side; cells are edges or None.
 
     Rows and columns are stored 0-based; human-facing messages use 1-based
@@ -92,8 +90,7 @@ class RoomSquare:
     grid: Tuple[Tuple[Optional[Edge], ...], ...]
 
 
-@dataclass(frozen=True)
-class FactorSelection:
+class FactorSelection(NamedTuple):
     factors: Tuple[Factor, ...]
     reps: Tuple[Edge, ...]
 
@@ -309,10 +306,12 @@ def validate_room(square: RoomSquare) -> None:
     columns are one-factors.  Raises the error for the first violation."""
     n = square.side
     sym = n + 1
+    grid = square.grid  # a record field costs more to read than a local
     seen = {}
     for r in range(n):
+        row = grid[r]
         for c in range(n):
-            cell = square.grid[r][c]
+            cell = row[c]
             if cell is None:
                 continue
             if (
@@ -334,11 +333,12 @@ def validate_room(square: RoomSquare) -> None:
             f"{sym * (sym - 1) // 2 - len(seen)} edges of K_{sym} never appear"
         )
     for r in range(n):
-        pts = sorted(p for c in range(n) if square.grid[r][c] for p in square.grid[r][c])
+        row = grid[r]
+        pts = sorted(p for c in range(n) if row[c] for p in row[c])
         if pts != list(range(sym)):
             raise RowNotOneFactor(f"row {r + 1} does not cover 0..{n} exactly once")
     for c in range(n):
-        pts = sorted(p for r in range(n) if square.grid[r][c] for p in square.grid[r][c])
+        pts = sorted(p for r in range(n) if grid[r][c] for p in grid[r][c])
         if pts != list(range(sym)):
             raise ColNotOneFactor(f"column {c + 1} does not cover 0..{n} exactly once")
 

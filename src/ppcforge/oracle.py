@@ -10,9 +10,8 @@ reports the largest block count among those whose maximum PPC is exactly
 rho.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .bounds import OutOfDomain
 from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, ToolkitError
@@ -46,8 +45,7 @@ def brute_max_ppc(design: Design, cap: int = 25) -> int:
     return _max_ppc_masks([(1 << x) | (1 << y) | (1 << z) for x, y, z in design.blocks])
 
 
-@dataclass(frozen=True)
-class BetaResult:
+class BetaResult(NamedTuple):
     value: int
     witness: Tuple[Block, ...]
     nodes: int

@@ -20,8 +20,7 @@ proof that the class is maximum without any search.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, SearchTooDeep, ToolkitError
 
@@ -34,8 +33,7 @@ class BadCertificate(ToolkitError):
     """A class and a cover handed to ``certify`` do not prove the maximum."""
 
 
-@dataclass(frozen=True)
-class PpcResult:
+class PpcResult(NamedTuple):
     size: int
     witness: Tuple[Block, ...]
     optimal: bool
@@ -245,8 +243,7 @@ def certify(design: Design, klass: Sequence[Block], cover: Sequence[int]) -> int
     return len(cover)
 
 
-@dataclass(frozen=True)
-class ExtensionProfile:
+class ExtensionProfile(NamedTuple):
     """How the points of a maximum PPC connect to the uncovered part.
 
     ``t`` maps each covered point x to the number of blocks through x whose
@@ -258,11 +255,11 @@ class ExtensionProfile:
     ``condition2_tight`` lists the condition-2 blocks where the bound holds
     with equality.  A block violating its bound never yields a profile: the
     swap certificate raises NotMaximum first, and anything past that would
-    mean corrupted input.
+    mean corrupted input.  ``t`` is part of the repr.
     """
 
     size: int
-    t: Dict[int, int] = field(repr=False)
+    t: Dict[int, int]
     p: Tuple[int, ...] = ()
     x0: Tuple[int, ...] = ()
     block_conditions: Tuple[Tuple[Block, int], ...] = ()

@@ -22,8 +22,7 @@ an exhausted search tree does.  ``sufficient_conditions`` evaluates the
 known PPC-based guarantees under which a sequencing must exist.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import NODE_LIMIT, Budget, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError
 from .ppc import greedy_transversal
@@ -33,15 +32,13 @@ class NotPermutation(ToolkitError):
     """The provided sequence is not a permutation of the design's points."""
 
 
-@dataclass(frozen=True)
-class Sequencing:
+class Sequencing(NamedTuple):
     perm: Tuple[int, ...]
     valid: bool
     violation: Optional[Tuple[int, int]] = None  # (t, window start)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     sequencing: Optional[Sequencing]
     proven_nonsequenceable: bool
     nodes: int

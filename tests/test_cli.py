@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import os
@@ -390,7 +389,7 @@ def test_construct_refuses_a_failed_certificate(monkeypatch, capsys):
 
     def apex_swapped(rho, ell):
         w = real(rho, ell)
-        return dataclasses.replace(w, s_points=(0, *w.s_points[1:]))
+        return w._replace(s_points=(0, *w.s_points[1:]))
 
     monkeypatch.setitem(pf.construct.FACTOR_JOINS, "packed", apex_swapped)
     rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
