@@ -2,6 +2,8 @@
 parallel class: constructions, an exact PPC solver, block-count bounds,
 Room squares and one-factorizations, and sequencing search."""
 
+from types import ModuleType as _Module
+
 from .bounds import (
     BoundRecord,
     beta_exact_known,
@@ -70,64 +72,7 @@ from .sequence import (
     sufficient_conditions,
 )
 
-__all__ = [
-    "BetaResult",
-    "Block",
-    "BoundRecord",
-    "ConstructionWitness",
-    "Design",
-    "Exhausted",
-    "ExtensionProfile",
-    "FACTOR_JOINS",
-    "FactorSelection",
-    "NODE_LIMIT",
-    "OutOfRange",
-    "PairViolation",
-    "ParseError",
-    "PpcResult",
-    "RepeatedPoint",
-    "RoomSquare",
-    "SearchOutcome",
-    "SearchTooDeep",
-    "Sequencing",
-    "ToolkitError",
-    "beta_exact_known",
-    "beta_lower",
-    "beta_upper",
-    "bound_table",
-    "brute_beta",
-    "brute_max_ppc",
-    "certify",
-    "check_sequencing",
-    "check_sts27_triples",
-    "construct_bose",
-    "deserialize",
-    "extension_profile",
-    "f_threshold",
-    "factor_join",
-    "factor_join_odd",
-    "factor_join_packed",
-    "find_sequencing",
-    "gap_bound",
-    "greedy_ppc",
-    "greedy_transversal",
-    "max_packing",
-    "packing_number",
-    "psts7_fixture",
-    "read_ppc_comments",
-    "room_from_text",
-    "room_square",
-    "room_to_text",
-    "round_robin",
-    "select_factors",
-    "sequencing_from_text",
-    "sequencing_to_text",
-    "serialize",
-    "solve_max_ppc",
-    "sufficient_conditions",
-    "sweep_grid",
-    "validate",
-    "validate_room",
-]
+# every public name imported above; pydoc documents only what __all__ lists
+__all__ = sorted(n for n, o in globals().items() if n[0] != "_" and not isinstance(o, _Module))
 
 __version__ = "0.1.0"

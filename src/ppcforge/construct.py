@@ -39,10 +39,6 @@ class NoDeletablePoint(ToolkitError):
     """No point of T avoids every representative edge (needs ell > 2*rho)."""
 
 
-class BadWitness(ToolkitError):
-    """The representative edges are not pairwise disjoint, one per factor."""
-
-
 class SumViolation(ToolkitError):
     """A stored triple does not sum to (0,0) over Z_5 x Z_5."""
 
@@ -54,9 +50,9 @@ class NotDisjoint(ToolkitError):
 class ConstructionWitness(NamedTuple):
     """A built design plus the certificate of its claimed maximum PPC.
 
-    ``witness_ppc`` holds rho pairwise disjoint blocks (the representative
-    blocks), and ``s_points`` the apex labels; every block of a factor-join
-    design meets ``s_points``, which is what caps the PPC at rho.
+    ``witness_ppc`` holds the rho representative blocks and ``s_points``
+    the apex labels, which meet every block of a factor-join design and so
+    cap the PPC at rho.  ``ppc.certify`` checks both; the builders do not.
     """
 
     design: Design
@@ -71,26 +67,20 @@ def _join(rho: int, ell: int, packing: Sequence[Block], trim: bool = False) -> C
     less the smallest T-point on no representative edge and the rho blocks
     through it, labels above it shifted down by one.
 
-    The selection is checked, not trusted: the reps must be pairwise
-    disjoint with rep j in factor j, so the witness blocks are rho disjoint
-    blocks of the design.  The design returned, and only that one, is
-    validated: ``validate`` rejects an edge used twice and two edges of one
-    factor that share a point (their blocks share the pair with the apex),
-    and the block count then makes every factor perfect.
+    The design returned, and only that one, is validated: ``validate``
+    rejects an edge used twice and two edges of one factor that share a
+    point (their blocks share the pair with the apex), and the block count
+    then makes every factor perfect.  The witness is left to
+    ``ppc.certify``, which proves it a maximum class of the design.
     """
     sel = select_factors(ell, rho)
-    rep_points = {p for rep in sel.reps for p in rep}
-    if len(sel.reps) != rho or len(rep_points) != 2 * rho:
-        raise BadWitness(f"representative edges {sel.reps} are not {rho} disjoint edges")
-    for j, (rep, factor) in enumerate(zip(sel.reps, sel.factors)):
-        if rep not in factor:
-            raise BadWitness(f"representative edge {rep} is not in factor {j}")
     blocks = [(a, b, ell + j) for j, factor in enumerate(sel.factors) for a, b in factor]
     blocks += [(ell + p, ell + q, ell + r) for p, q, r in packing]
     assert len(blocks) == rho * ell // 2 + len(packing)
     witness = sorted((a, b, ell + j) for j, (a, b) in enumerate(sel.reps))
     v = rho + ell
     if trim:
+        rep_points = {p for rep in sel.reps for p in rep}
         x = next((p for p in range(ell) if p not in rep_points), None)
         if x is None:
             raise NoDeletablePoint(
@@ -164,24 +154,22 @@ def sweep_grid(rho_max: int = 5, ell_max: int = 24) -> List[Tuple[str, int, int]
     return out
 
 
-# Maximum packings kept for 6 <= rho <= 10, where the closed forms below
+# Maximum packings kept for rho = 6, 7, 9, 10, where the closed forms below
 # give other packings of the same size that would change what ``construct``
 # prints.  rho=7 is the projective plane of order 2 developed from the
-# difference set {0,1,3}; rho=8 and 9 come from the 12 lines of the 3x3
-# affine plane (rho=8 keeps the 8 lines missing the last point).
-_AFFINE9: Tuple[Block, ...] = (
-    (0, 1, 2), (3, 4, 5), (6, 7, 8),
-    (0, 3, 6), (1, 4, 7), (2, 5, 8),
-    (0, 4, 8), (1, 5, 6), (2, 3, 7),
-    (0, 5, 7), (1, 3, 8), (2, 4, 6),
-)
+# difference set {0,1,3}; rho=9 is the 3x3 affine plane, and the even-rho
+# rule of ``_packing`` makes rho=8 of its 8 lines missing the last point.
 _PACKINGS: Dict[int, Tuple[Block, ...]] = {
     6: ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)),
     7: tuple(
         sorted(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7))
     ),
-    8: tuple(sorted(b for b in _AFFINE9 if 8 not in b)),
-    9: _AFFINE9,
+    9: (
+        (0, 1, 2), (3, 4, 5), (6, 7, 8),
+        (0, 3, 6), (1, 4, 7), (2, 5, 8),
+        (0, 4, 8), (1, 5, 6), (2, 3, 7),
+        (0, 5, 7), (1, 3, 8), (2, 4, 6),
+    ),
     10: (
         (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (1, 3, 5), (1, 4, 6),
         (1, 7, 9), (2, 3, 7), (2, 4, 8), (2, 6, 9), (3, 6, 8), (4, 5, 7),
@@ -260,15 +248,16 @@ def _packing(rho: int) -> Sequence[Block]:
 def max_packing(rho: int) -> Design:
     """A PSTS(rho) with the full packing_number(rho) blocks, in closed form.
 
-    Stored for 6 <= rho <= 10, else by rho mod 6 (Colbourn & Rosa, *Triple
+    Stored for rho = 6, 7, 9, 10, else by rho mod 6 (Colbourn & Rosa, *Triple
     Systems*, 1999; Lindner & Rodger, *Design Theory*, ch. 1):
 
     * rho = 3: the Bose STS(rho) of ``construct_bose``;
     * rho = 1: Skolem's STS(rho);
     * rho = 5: the 6n+5 design with its 5-block split, leaving a 4-cycle;
-    * even rho: the packing on rho+1 points minus its last point, rho.  The
-      leave becomes a perfect matching for rho = 0, 2 and, since point rho
-      lies on the 4-cycle, K_1,3 plus a matching for rho = 4.
+    * even rho, 8 included: the packing on rho+1 points minus its last
+      point, rho.  The leave becomes a perfect matching for rho = 0, 2
+      and, since point rho lies on the 4-cycle, K_1,3 plus a matching for
+      rho = 4.
 
     No PSTS(rho) has more than D(rho) blocks, so the result is maximum.
     """

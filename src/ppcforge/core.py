@@ -143,8 +143,12 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
 def _int_points(raw: Sequence) -> Tuple[int, int, int]:
     """The sorted points of a block that are not all ints: decimal strings
     are read, anything else is a ``ParseError``."""
+    if not hasattr(raw, "__len__"):
+        raise ParseError(f"block {raw!r} is not a sequence of points")
     if len(raw) != 3:
         raise ParseError(f"block {raw!r} does not have exactly 3 points")
+    if isinstance(raw, str):  # three characters, not three points
+        raise ParseError(f"block {raw!r} is not a sequence of points")
     try:
         pts = [int(p) if type(p) is str else p for p in raw]
     except ValueError as exc:

@@ -253,9 +253,9 @@ class ExtensionProfile(NamedTuple):
     condition 1 (meets x0 in at least two points, t-sum at most 6) or
     condition 2 (at most one x0 point, t-sum at most (v - 3*size)/2).
     ``condition2_tight`` lists the condition-2 blocks where the bound holds
-    with equality.  A block violating its bound never yields a profile: the
-    swap certificate raises NotMaximum first, and anything past that would
-    mean corrupted input.  ``t`` is part of the repr.
+    with equality.  After the swap check (NotMaximum) each t of a
+    condition-1 block is at most 2; only a ``Design`` built without
+    ``validate`` can break condition 2 (RuntimeError).  ``t`` is in the repr.
     """
 
     size: int
@@ -313,12 +313,8 @@ def extension_profile(
             )
         ssum = sum(counts)
         meets = sum(1 for p in key if p in x0set)
-        if meets >= 2:
+        if meets >= 2:  # so counts[1] >= 1, and the swap check left each t <= 2
             tags.append((key, 1))
-            if ssum > 6:  # unreachable past the swap check; guards bad input
-                raise RuntimeError(
-                    f"block {key} breaks the t-sum <= 6 bound; inconsistent input"
-                )
         else:
             tags.append((key, 2))
             # exact integer form of ssum <= (v - 3*rho)/2

@@ -93,14 +93,18 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     Scans every window of 3t consecutive points for t = 1..min(floor(v/3),
     tau), tau the size of a greedy transversal (no window with t > tau can
     partition); the first window that is exactly a union of t blocks is
-    reported as the violation (t, start).
+    reported as the violation (t, start).  Raises ``SearchTooDeep`` when a
+    window's exact-cover test nests deeper than the recursion limit.
     """
     v = design.v
     perm = tuple(perm)
     # ints only, as validate's points: type(), since bool subclasses int
     if not all(type(p) is int for p in perm) or sorted(perm) != list(range(v)):
         raise NotPermutation(f"expected a permutation of 0..{v - 1}")
-    violation = _first_union(_WindowOracle(design), perm)
+    try:
+        violation = _first_union(_WindowOracle(design), perm)
+    except RecursionError:
+        raise SearchTooDeep("sequencing check", v) from None
     return Sequencing(perm, violation is None, violation)
 
 

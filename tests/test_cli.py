@@ -361,7 +361,8 @@ def test_construct_rejects_a_bad_witness(monkeypatch, capsys):
                         lambda ell, rho: pf.onefactor.FactorSelection(sel.factors, overlapping))
     rc, stdout, stderr = run(capsys, "construct", "--rho", "3", "--v", "11")
     assert rc == 1 and stdout == ""
-    assert stderr == f"error: representative edges {overlapping} are not 3 disjoint edges\n"
+    # the build is not checked; certify refuses its witness
+    assert stderr == "error: class block (0, 7, 9) is not in the design\n"
 
 
 @pytest.mark.parametrize("rho,v,head,digest", [

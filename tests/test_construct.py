@@ -6,13 +6,13 @@ import pytest
 import ppcforge as pf
 from ppcforge.construct import (
     BadResidue,
-    BadWitness,
     NoDeletablePoint,
     NotDisjoint,
     SumViolation,
     check_sts27_triples,
 )
 from ppcforge.onefactor import Infeasible
+from ppcforge.ppc import BadCertificate
 
 
 def test_example_rho3_ell8(example11):
@@ -56,14 +56,19 @@ def _misplaced_reps(ell, rho):
 
 
 @pytest.mark.parametrize("kind", pf.FACTOR_JOINS)
-@pytest.mark.parametrize("bad,message", [
-    (_overlapping_reps, r"are not 3 disjoint edges"),
-    (_misplaced_reps, r"representative edge \(\d+, \d+\) is not in factor 0"),
-])
-def test_join_checks_its_witness(monkeypatch, kind, bad, message):
+@pytest.mark.parametrize("bad", [_overlapping_reps, _misplaced_reps])
+def test_join_checks_its_witness(monkeypatch, kind, bad):
+    # the builders trust the selection; certify, which construct runs on
+    # every build it prints, refuses a witness that is not a class
     monkeypatch.setattr(pf.construct, "select_factors", bad)
-    with pytest.raises(BadWitness, match=message):
-        pf.FACTOR_JOINS[kind](3, 10)
+    w = pf.FACTOR_JOINS[kind](3, 10)
+    if bad is _overlapping_reps:
+        message = "class reuses point 0"
+    else:
+        message = f"class block {(0, 8, 10) if kind == 'trimmed' else (0, 9, 11)} is not in the design"
+    with pytest.raises(BadCertificate) as err:
+        pf.certify(w.design, w.witness_ppc, w.s_points)
+    assert str(err.value) == message
 
 
 def test_packed_examples():

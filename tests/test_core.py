@@ -56,6 +56,20 @@ def test_string_points_are_read_as_integers():
     assert d.blocks == ((0, 1, 2), (2, 3, 10))
 
 
+@pytest.mark.parametrize("block,message", [
+    (5, "block 5 is not a sequence of points"),
+    (None, "block None is not a sequence of points"),
+    (2.5, "block 2.5 is not a sequence of points"),
+    # three characters would unpack into three decimal strings
+    ("012", "block '012' is not a sequence of points"),
+    ("01", "block '01' does not have exactly 3 points"),
+])
+def test_a_block_that_is_not_a_sequence_of_points_is_a_parse_error(block, message):
+    with pytest.raises(pf.ParseError) as err:
+        pf.validate(3, [block])
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("block", [(0, 1, 2.5), (True, 2, 3), (0, 1, "x"), (0, 1, None),
                                    ["2", 1.0, 0]])
 def test_non_integer_points_are_not_truncated(block):

@@ -263,10 +263,21 @@ def test_select_factors_4_2_infeasible():
         pf.select_factors(4, 2)
 
 
+@pytest.mark.parametrize("ell", range(6, 61, 2))  # both rules, past ROOM_MAX_ORDER too
+def test_selection_is_a_prefix_of_the_widest(ell):
+    widest = pf.select_factors(ell, ell // 2)
+    for rho in range(1, ell // 2):
+        sel = pf.select_factors(ell, rho)
+        assert sel.factors == widest.factors[:rho] and sel.reps == widest.reps[:rho]
+
+
+# Both selection rules take their factors and reps as a prefix of one
+# ordered list (checked above up to ell = 60), so rho = ell/2 checks every
+# rho at that ell; (4, 2) has no selection, so (4, 1) stands in for it.
 @pytest.mark.parametrize(
     "ell,rho",
-    [(2, 1), (4, 1), (6, 2), (6, 3), (8, 3), (10, 4), (12, 5), (14, 3),
-     (24, 12), (52, 26), (54, 27), (60, 30), (200, 100)],
+    sorted({(6, 2), (8, 3), (10, 4), (12, 5), (14, 3), (200, 100), (4, 1)}
+           | {(ell, ell // 2) for ell in range(2, 121, 2) if ell != 4}),
 )
 def test_selection_postconditions(ell, rho):
     sel = pf.select_factors(ell, rho)

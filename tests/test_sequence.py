@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ import ppcforge as pf
 from ppcforge.ppc import greedy_transversal
 from ppcforge.sequence import NotPermutation, SearchTooDeep, _WindowOracle
 
-from conftest import designs, linear_subset
+from conftest import designs, linear_subset, recursion_headroom
 
 
 def psts3():
@@ -335,3 +336,21 @@ def test_text_rejects_missing_header():
 
 def test_too_deep_is_the_shared_error():
     assert SearchTooDeep is pf.SearchTooDeep is pf.core.SearchTooDeep
+
+
+
+def test_check_past_the_recursion_limit_is_a_clean_error():
+    # a parallel class {3i, 3i+1, 3i+2} under 0, 3, 6, ..., 1, 4, ..., 2, 5,
+    # ...: only the whole permutation partitions, and the exact-cover test
+    # recurses about twice per block, so 40 blocks nest past a limit 60
+    # frames up
+    design = pf.validate(120, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(40)])
+    perm = [p for r in range(3) for p in range(r, 120, 3)]
+    assert pf.check_sequencing(design, perm).violation == (40, 0)
+    with recursion_headroom(60):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(SearchTooDeep) as err:
+            pf.check_sequencing(design, perm)
+    assert str(err.value) == (
+        f"sequencing check on 120 points nests deeper than the recursion limit of {limit}"
+    )
