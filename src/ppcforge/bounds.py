@@ -6,9 +6,9 @@ PSTS(v) can have when its maximum partial parallel class has size exactly
 rho.  ``beta_lower`` comes from the factor-join constructions, ``beta_upper``
 from a counting argument over a maximum class (at most C(3*rho,2) - 2*rho
 blocks meet the class twice; each class point carries at most
-max(6, floor((v-3*rho)/2)) pendant blocks), capped by the trivial
-v*(v-1)/6.  ``bound_table`` assembles rows, optionally overlaying the known
-exact values.
+max(6, floor((v-3*rho)/2)) pendant blocks), capped by the packing number
+D(v), since no PSTS(v) has more blocks.  ``bound_table`` assembles rows,
+optionally overlaying the known exact values.
 
 A flagged discrepancy: for rho=2 and v >= 18 the upper bound is sometimes
 quoted as v+1, but direct evaluation of the counting bound gives v+5 for
@@ -60,16 +60,16 @@ def beta_lower(rho: int, v: int) -> int:
 
 
 def beta_upper(rho: int, v: int) -> int:
-    """Counting upper bound on beta(rho, v), capped by the trivial bound.
+    """Counting upper bound on beta(rho, v), capped by the packing number.
 
-    min( C(3*rho,2) - 2*rho + rho*max(6, (v-3*rho)//2),  v*(v-1)//6 ).
+    min( C(3*rho,2) - 2*rho + rho*max(6, (v-3*rho)//2),  D(v) ).
     The first term equals rho*((9*rho-7)/2 + max(...)) but is computed in
     the integral binomial form to avoid fractional intermediates.
     """
     if rho < 1 or v < 3 * rho:
         raise OutOfDomain(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
     counting = comb(3 * rho, 2) - 2 * rho + rho * max(6, (v - 3 * rho) // 2)
-    return min(counting, v * (v - 1) // 6)
+    return min(counting, packing_number(v))
 
 
 def beta_exact_known(rho: int, v: int) -> Optional[int]:

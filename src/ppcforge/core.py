@@ -5,7 +5,9 @@ from a point set of size v such that every pair of points lies in at most one
 block.  When every pair lies in exactly one block the system is a full
 STS(v).  This module holds the value type, structural validation, a
 plain-text interchange format, and what every search shares: the node
-limit ``NODE_LIMIT``, ``Budget``, ``Exhausted`` and ``SearchTooDeep``.
+limit ``NODE_LIMIT`` and the errors ``Exhausted`` and ``SearchTooDeep``.
+Each search counts its nodes in a local and raises ``Exhausted`` on the
+first node past its limit.
 
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
@@ -54,6 +56,9 @@ class ParseError(ToolkitError):
 class Exhausted(ToolkitError):
     """A search used up its node limit before it could answer."""
 
+    def __init__(self, what: str, budget: int):
+        super().__init__(f"{what} ran out of its {budget} nodes")
+
 
 class SearchTooDeep(ToolkitError):
     """A search nests deeper than Python's recursion limit."""
@@ -63,25 +68,6 @@ class SearchTooDeep(ToolkitError):
             f"{what} on {v} points nests deeper than the recursion limit "
             f"of {sys.getrecursionlimit()}"
         )
-
-
-class Budget:
-    """Node counter of one search: ``tick`` raises ``Exhausted`` on the
-    first node past ``limit``.  A search that reports a best-so-far catches
-    it once, at its top.  A hot search may count its nodes locally and, on
-    the first node past the limit, set ``nodes = limit`` and call ``tick``."""
-
-    __slots__ = ("limit", "what", "nodes")
-
-    def __init__(self, limit: int, what: str):
-        self.limit = limit
-        self.what = what
-        self.nodes = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise Exhausted(f"{self.what} ran out of its {self.limit} nodes")
 
 
 class Design(NamedTuple):
@@ -110,8 +96,8 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
     canon = []
     codes = set()  # the pair x < y has code x*v + y
     for raw in blocks:
-        try:
-            a, b, c = raw
+        try:  # bytes would unpack to byte values and a dict to its keys
+            a, b, c = raw if type(raw) in (tuple, list) else None
         except (TypeError, ValueError):  # not 3 points
             a = None
         # type(), not isinstance: bool subclasses int
@@ -141,13 +127,13 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
 
 
 def _int_points(raw: Sequence) -> Tuple[int, int, int]:
-    """The sorted points of a block that are not all ints: decimal strings
-    are read, anything else is a ``ParseError``."""
+    """The sorted points of a block that is not a tuple or list of ints:
+    decimal strings are read, anything else is a ``ParseError``."""
     if not hasattr(raw, "__len__"):
         raise ParseError(f"block {raw!r} is not a sequence of points")
     if len(raw) != 3:
         raise ParseError(f"block {raw!r} does not have exactly 3 points")
-    if isinstance(raw, str):  # three characters, not three points
+    if isinstance(raw, (str, bytes, bytearray, dict)):  # not three points
         raise ParseError(f"block {raw!r} is not a sequence of points")
     try:
         pts = [int(p) if type(p) is str else p for p in raw]

@@ -37,7 +37,7 @@ edges of K_4 share a one-factor.
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import NODE_LIMIT, Budget, ParseError, ToolkitError
+from .core import NODE_LIMIT, Exhausted, ParseError, ToolkitError
 
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
@@ -153,7 +153,7 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     referee that re-derives that table.
     """
     out: List[Edge] = []
-    counter = Budget(budget, f"strong starter search for Z_{n}")
+    nodes = 0
 
     # Bitmasks over Z_n: free holds the unpaired elements, diffs the
     # differences d whose class {d, n-d} is still open, sums the pair sums
@@ -161,7 +161,10 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     # a strong starter form one mask: y - x in diffs, and x + y in sums,
     # which is sums rotated down by x.
     def rec(free: int, diffs: int, sums: int) -> bool:
-        counter.tick()
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise Exhausted(f"strong starter search for Z_{n}", budget)
         if not free:
             return True
         xbit = free & -free

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
 from .bounds import OutOfDomain
-from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, ToolkitError
+from .core import NODE_LIMIT, Block, Design, Exhausted, ToolkitError
 
 
 class TooLarge(ToolkitError):
@@ -78,7 +78,7 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> Beta
     pair_masks = [(1 << (a * v + b)) | (1 << (a * v + c)) | (1 << (b * v + c))
                   for a, b, c in triples]
 
-    counter = Budget(budget, "beta search")
+    nodes = 0
     best_value = 0
     best_witness: Tuple[Block, ...] = ()
     cur: List[int] = [0]  # triple indices; triples[0] is the anchor (0,1,2)
@@ -91,8 +91,10 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> Beta
         return 1 + _max_ppc_masks(rest)
 
     def rec(compat: List[int], cur_max: int) -> None:
-        nonlocal best_value, best_witness
-        counter.tick()
+        nonlocal best_value, best_witness, nodes
+        nodes += 1
+        if nodes > budget:
+            raise Exhausted("beta search", budget)
         if cur_max == rho and len(cur) > best_value:
             best_value = len(cur)
             best_witness = tuple(triples[i] for i in cur)
@@ -113,4 +115,4 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> Beta
         rec([j for j in range(1, len(triples)) if not pair_masks[j] & pair_masks[0]], 1)
     except Exhausted:
         complete = False
-    return BetaResult(best_value, best_witness, counter.nodes, complete)
+    return BetaResult(best_value, best_witness, nodes, complete)

@@ -22,7 +22,7 @@ proof that the class is maximum without any search.
 from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from .core import NODE_LIMIT, Block, Budget, Design, Exhausted, SearchTooDeep, ToolkitError
+from .core import NODE_LIMIT, Block, Design, Exhausted, SearchTooDeep, ToolkitError
 
 
 class NotMaximum(ToolkitError):
@@ -142,12 +142,14 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
     # choosing block i discards every block that meets it; a closed root chooses none
     clash = [] if best_size == len(cover) else [
         through[a] | through[b] | through[c] for a, b, c in blocks]
-    counter = Budget(budget, "exact PPC search")
     chosen: List[int] = []
+    nodes = 0
 
     def rec(usable: int, live: Sequence[int]) -> None:
-        nonlocal best, best_size
-        counter.tick()
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes > budget:
+            raise Exhausted("exact PPC search", budget)
         if best_size == len(cover):  # no class outgrows a transversal
             return
         x, fewest = -1, len(blocks) + 1
@@ -185,12 +187,12 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
         except Exhausted:
             optimal = False
         except RecursionError:
-            raise SearchTooDeep(counter.what, v) from None
+            raise SearchTooDeep("exact PPC search", v) from None
     return PpcResult(
         size=best_size,
         witness=tuple(sorted(best)),
         optimal=optimal,
-        nodes=counter.nodes,
+        nodes=nodes,
         cover=cover if optimal and best_size == len(cover) else (),
     )
 

@@ -24,7 +24,7 @@ known PPC-based guarantees under which a sequencing must exist.
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import NODE_LIMIT, Budget, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError
+from .core import NODE_LIMIT, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError
 from .ppc import greedy_transversal
 
 
@@ -57,7 +57,10 @@ class _WindowOracle:
     window can participate, which the subset test enforces for free.  The
     blocks of a partition are disjoint and each holds a point of the
     transversal ``cover``, so a mask with fewer than |mask|/3 cover points
-    fails at once, and nothing is memoized for it.
+    fails at once, and nothing is memoized for it.  ``partitions`` walks
+    the remainders from a list, not by recursion, so any window is tested;
+    each remainder it explores is memoized False, and on success those
+    entries give way to one True for the queried mask.
     """
 
     def __init__(self, design: Design):
@@ -73,18 +76,23 @@ class _WindowOracle:
         self.memo: Dict[int, bool] = {0: True}
 
     def partitions(self, mask: int) -> bool:
-        known = self.memo.get(mask)
-        if known is not None:
-            return known
-        if 3 * (mask & self.cover).bit_count() < mask.bit_count():
-            return False
-        p = (mask & -mask).bit_length() - 1
-        ok = any(
-            bm & mask == bm and self.partitions(mask & ~bm)
-            for bm in self.by_point[p]
-        )
-        self.memo[mask] = ok
-        return ok
+        memo, cover = self.memo, self.cover
+        explored = []  # False in the memo unless this call succeeds
+        todo = [mask]
+        while todo:
+            m = todo.pop()
+            known = memo.get(m)
+            if known:  # m partitions, so mask does
+                for m in explored:
+                    del memo[m]
+                memo[mask] = True
+                return True
+            if known is None and 3 * (m & cover).bit_count() >= m.bit_count():
+                memo[m] = False
+                explored.append(m)
+                p = (m & -m).bit_length() - 1
+                todo += [m & ~bm for bm in self.by_point[p] if bm & m == bm]
+        return False
 
 
 def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
@@ -93,18 +101,14 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     Scans every window of 3t consecutive points for t = 1..min(floor(v/3),
     tau), tau the size of a greedy transversal (no window with t > tau can
     partition); the first window that is exactly a union of t blocks is
-    reported as the violation (t, start).  Raises ``SearchTooDeep`` when a
-    window's exact-cover test nests deeper than the recursion limit.
+    reported as the violation (t, start).
     """
     v = design.v
     perm = tuple(perm)
     # ints only, as validate's points: type(), since bool subclasses int
     if not all(type(p) is int for p in perm) or sorted(perm) != list(range(v)):
         raise NotPermutation(f"expected a permutation of 0..{v - 1}")
-    try:
-        violation = _first_union(_WindowOracle(design), perm)
-    except RecursionError:
-        raise SearchTooDeep("sequencing check", v) from None
+    violation = _first_union(_WindowOracle(design), perm)
     return Sequencing(perm, violation is None, violation)
 
 
@@ -163,8 +167,7 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     v = design.v
     oracle = _WindowOracle(design)
     partitions = oracle.partitions
-    counter = Budget(budget, "sequencing search")
-    nodes = 0  # counted here; the counter ticks only past the limit, to raise
+    nodes = 0
     # placed[d] holds the bits of the first d placed points, so the window of
     # the placed points from position lo on is placed[depth] ^ placed[lo]
     placed = [0] * (v + 1)
@@ -197,8 +200,7 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            counter.nodes = budget
-            counter.tick()
+            raise Exhausted("sequencing search", budget)
         if depth == v:
             return True
         here = placed[depth]
@@ -220,15 +222,14 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
                 return True
         return False
 
+    if v % 3 == 0 and partitions((1 << v) - 1):  # the proof's one node
+        return SearchOutcome(None, budget >= 1, 1, "spanning class" if budget >= 1 else None)
     try:
-        if v % 3 == 0 and partitions((1 << v) - 1):
-            counter.tick()
-            return SearchOutcome(None, True, counter.nodes, "spanning class")
         found = extend((1 << v) - 1, 0)
     except Exhausted:
-        return SearchOutcome(None, False, counter.nodes)
+        return SearchOutcome(None, False, nodes)
     except RecursionError:
-        raise SearchTooDeep(counter.what, v) from None
+        raise SearchTooDeep("sequencing search", v) from None
     if not found:
         return SearchOutcome(None, True, nodes, "exhaustion")
     perm = tuple((placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v))

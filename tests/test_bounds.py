@@ -135,11 +135,11 @@ def test_lower_never_exceeds_upper():
 @settings(max_examples=80, deadline=None)
 def test_counting_form_matches_closed_form(rho, data):
     # upper bound via the binomial form equals rho*((9rho-7)/2 + max(...))
-    # whenever v - 3*rho is even, up to the trivial cap
+    # whenever v - 3*rho is even, up to the cap D(v): no PSTS(v) has more blocks
     v = data.draw(st.integers(min_value=3 * rho, max_value=220).filter(
         lambda x: (x - 3 * rho) % 2 == 0))
     closed = Fraction(rho) * (Fraction(9 * rho - 7, 2) + max(6, (v - 3 * rho) // 2))
-    assert pf.beta_upper(rho, v) == min(int(closed), v * (v - 1) // 6)
+    assert pf.beta_upper(rho, v) == min(int(closed), pf.packing_number(v))
 
 
 def test_rho2_band():

@@ -335,11 +335,6 @@ def test_roomsquare_validates_its_square_once(monkeypatch, capsys):
     assert calls == [15]
 
 
-def test_strong_starter_search_out_of_nodes_raises():
-    with pytest.raises(pf.Exhausted, match="strong starter search for Z_23 ran out of its 10 nodes"):
-        pf.onefactor.strong_starter(23, budget=10)
-
-
 def test_construct_reads_stored_starters(monkeypatch, capsys):
     def no_search(n):
         raise AssertionError(f"strong_starter({n}) called")

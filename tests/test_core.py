@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ppcforge as pf
 from ppcforge.core import read_ppc_comments
 
-from conftest import designs, linear_subset
+from conftest import designs, fano_union, linear_subset
 
 
 def test_valid_psts7(psts7):
@@ -63,6 +63,11 @@ def test_string_points_are_read_as_integers():
     # three characters would unpack into three decimal strings
     ("012", "block '012' is not a sequence of points"),
     ("01", "block '01' does not have exactly 3 points"),
+    # bytes unpack into byte values and a dict into its keys
+    (b"\x00\x01\x02", "block b'\\x00\\x01\\x02' is not a sequence of points"),
+    (bytearray(b"\x00\x01\x02"), "block bytearray(b'\\x00\\x01\\x02') is not a sequence of points"),
+    ({0: "a", 1: "b", 2: "c"}, "block {0: 'a', 1: 'b', 2: 'c'} is not a sequence of points"),
+    (b"012", "block b'012' is not a sequence of points"),
 ])
 def test_a_block_that_is_not_a_sequence_of_points_is_a_parse_error(block, message):
     with pytest.raises(pf.ParseError) as err:
@@ -276,3 +281,26 @@ def outcome(fn, v, blocks):
 def test_validate_matches_the_reference(case):
     v, blocks = case
     assert outcome(pf.validate, v, blocks) == outcome(reference_validate, v, blocks)
+
+
+# each search with a best-so-far to report, the run that takes ``budget``
+# nodes, and the field that says whether it proved its answer
+BEST_SO_FAR = {
+    "solve_max_ppc": (lambda n: pf.solve_max_ppc(fano_union(3), budget=n), "optimal"),
+    "find_sequencing": (lambda n: pf.find_sequencing(fano_union(3), budget=n),
+                        "proven_nonsequenceable"),
+    "brute_beta": (lambda n: pf.brute_beta(2, 7, budget=n), "complete"),
+}
+
+
+@pytest.mark.parametrize("budget", [0, 1, 10])
+@pytest.mark.parametrize("search", [*BEST_SO_FAR, "strong_starter"])
+def test_a_search_stops_on_the_first_node_past_its_budget(search, budget):
+    if search == "strong_starter":  # nothing to report: it raises
+        with pytest.raises(pf.Exhausted) as err:
+            pf.onefactor.strong_starter(23, budget=budget)
+        assert str(err.value) == f"strong starter search for Z_23 ran out of its {budget} nodes"
+        return
+    run, proof = BEST_SO_FAR[search]
+    res = run(budget)
+    assert res.nodes == budget + 1 and not getattr(res, proof)

@@ -33,7 +33,8 @@ def test_two_oracles_never_disagree(design):
 
 def test_exact_beta_lies_in_the_bracket():
     # every exact beta(rho, v) with v <= 8 lies in [beta_lower, beta_upper]
-    # but beta(2, 6) = 2, where the lower bound says 3: any new escape fails
+    # but beta(2, 6) = 2, where the lower bound says 3 and the upper bound
+    # is D(6) = 4: any new escape fails
     pairs = [(rho, v) for v in range(3, 9) for rho in range(1, v // 3 + 1)]
     assert len(pairs) == 9
     escapes = {}
@@ -43,7 +44,7 @@ def test_exact_beta_lies_in_the_bracket():
         lo, up = pf.beta_lower(rho, v), pf.beta_upper(rho, v)
         if not lo <= res.value <= up:
             escapes[rho, v] = (res.value, lo, up)
-    assert escapes == {(2, 6): (2, 3, 5)}
+    assert escapes == {(2, 6): (2, 3, 4)}
 
 
 def test_beta_rho1_tiny():

@@ -1,10 +1,12 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppcforge as pf
 from ppcforge.ppc import greedy_transversal
@@ -263,6 +265,35 @@ def test_window_oracle_rejects_masks_short_of_cover_points():
     assert len(unbounded.memo) > 1
 
 
+def exact_cover(design, mask):
+    """Whether some |mask|/3 blocks inside ``mask`` cover it, by plain
+    enumeration: that many blocks of 3 points cover it only when disjoint."""
+    inside = [bm for bm in ((1 << a) | (1 << b) | (1 << c) for a, b, c in design.blocks)
+              if bm & mask == bm]
+    t, rest = divmod(mask.bit_count(), 3)
+    return not rest and any(functools.reduce(operator.or_, c, 0) == mask
+                            for c in itertools.combinations(inside, t))
+
+
+@given(designs(max_v=12, max_blocks=20), st.data())
+@settings(max_examples=60, deadline=None)
+def test_window_oracle_matches_a_naive_exact_cover(design, data):
+    # unions of disjoint blocks make True answers common; one oracle answers
+    # the drawn masks, every union of the family, and the drawn masks again,
+    # so each query reuses the memo that True and False answers left
+    family = []
+    for a, b, c in data.draw(st.permutations(design.blocks)):
+        bm = (1 << a) | (1 << b) | (1 << c)
+        if not any(bm & f for f in family):
+            family.append(bm)
+    unions = [sum(c) for k in range(len(family) + 1) for c in itertools.combinations(family, k)]
+    masks = data.draw(st.lists(st.sampled_from(unions) | st.integers(0, (1 << design.v) - 1),
+                               min_size=1, max_size=30))
+    oracle = _WindowOracle(design)
+    for mask in masks + unions + masks[::-1]:
+        assert oracle.partitions(mask) == exact_cover(design, mask), mask
+
+
 def test_guarantee_flags():
     table = [
         (1, 15, {"C1", "C2"}),
@@ -339,18 +370,17 @@ def test_too_deep_is_the_shared_error():
 
 
 
-def test_check_past_the_recursion_limit_is_a_clean_error():
+def test_check_past_the_recursion_limit_answers():
     # a parallel class {3i, 3i+1, 3i+2} under 0, 3, 6, ..., 1, 4, ..., 2, 5,
     # ...: only the whole permutation partitions, and the exact-cover test
-    # recurses about twice per block, so 40 blocks nest past a limit 60
-    # frames up
+    # walks its 40 blocks from a list, so a limit 60 frames up is no bar
     design = pf.validate(120, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(40)])
     perm = [p for r in range(3) for p in range(r, 120, 3)]
-    assert pf.check_sequencing(design, perm).violation == (40, 0)
     with recursion_headroom(60):
-        limit = sys.getrecursionlimit()
-        with pytest.raises(SearchTooDeep) as err:
-            pf.check_sequencing(design, perm)
-    assert str(err.value) == (
-        f"sequencing check on 120 points nests deeper than the recursion limit of {limit}"
-    )
+        assert pf.check_sequencing(design, perm).violation == (40, 0)
+
+
+def test_a_spanning_class_of_600_blocks_is_proven_in_one_node():
+    design = pf.validate(1800, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(600)])
+    out = pf.find_sequencing(design)
+    assert out == pf.SearchOutcome(None, True, 1, "spanning class")
