@@ -1,5 +1,8 @@
 import hashlib
+import random
+import re
 import time
+from collections import Counter
 from itertools import combinations, count
 
 import pytest
@@ -9,11 +12,13 @@ from ppcforge.onefactor import (
     ROOM_MAX_ORDER,
     _STARTERS,
     BadSide,
+    CellNotEdge,
     ColNotOneFactor,
     EdgeMissingOrDoubled,
     Infeasible,
     OddOrder,
     RoomSquare,
+    RoomValidationError,
     RowNotOneFactor,
     rainbow_matching,
     room_from_text,
@@ -106,10 +111,18 @@ ROOM_SQUARE_SHA256 = {
 }
 
 
+# sha256 of the texts above joined in side order, 7 to 51
+ROOM_SQUARES_ALL_SHA256 = "34baac7456b9accbc6e238fe22cc5344bbb105f0053ced5dcca8259abcd9f22e"
+
+
 def test_room_squares_are_pinned():
-    for side, digest in ROOM_SQUARE_SHA256.items():
+    assert set(ROOM_SQUARE_SHA256) == set(range(7, ROOM_MAX_ORDER, 2))
+    joined = hashlib.sha256()
+    for side, digest in sorted(ROOM_SQUARE_SHA256.items()):
         text = room_to_text(room_square(side))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, side
+        joined.update(text.encode())
+    assert joined.hexdigest() == ROOM_SQUARES_ALL_SHA256
 
 
 def test_rainbow_matching_meets_each_factor_once():
@@ -168,6 +181,134 @@ def test_column_error_when_rows_are_intact():
     grid[0][0], grid[0][3] = grid[0][3], grid[0][0]
     with pytest.raises(ColNotOneFactor):
         pf.validate_room(RoomSquare(7, tuple(tuple(r) for r in grid)))
+
+
+def reference_validate_room(square):
+    """``validate_room`` as it was before the one-pass rewrite: the cells
+    checked first, then the points of each row, then of each column, sorted
+    and compared with 0..side."""
+    n = square.side
+    sym = n + 1
+    grid = square.grid
+    seen = {}
+    for r in range(n):
+        row = grid[r]
+        for c in range(n):
+            cell = row[c]
+            if cell is None:
+                continue
+            if (
+                len(cell) != 2
+                or not all(isinstance(p, int) for p in cell)
+                or not (0 <= cell[0] < cell[1] <= n)
+            ):
+                raise CellNotEdge(
+                    f"cell ({r + 1},{c + 1}) holds {cell!r}, not an edge on 0..{n}"
+                )
+            if cell in seen:
+                raise EdgeMissingOrDoubled(
+                    f"edge {cell[0]}-{cell[1]} appears at cells "
+                    f"{seen[cell]} and ({r + 1},{c + 1})"
+                )
+            seen[cell] = (r + 1, c + 1)
+    if len(seen) != sym * (sym - 1) // 2:
+        raise EdgeMissingOrDoubled(
+            f"{sym * (sym - 1) // 2 - len(seen)} edges of K_{sym} never appear"
+        )
+    for r in range(n):
+        row = grid[r]
+        pts = sorted(p for c in range(n) if row[c] for p in row[c])
+        if pts != list(range(sym)):
+            raise RowNotOneFactor(f"row {r + 1} does not cover 0..{n} exactly once")
+    for c in range(n):
+        pts = sorted(p for r in range(n) if grid[r][c] for p in grid[r][c])
+        if pts != list(range(sym)):
+            raise ColNotOneFactor(f"column {c + 1} does not cover 0..{n} exactly once")
+
+
+def room_outcome(check, square):
+    try:
+        check(square)
+    except RoomValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def mutated_squares(square, rng):
+    """Damaged copies of ``square``, tuple cells only: swaps within a row,
+    within a column and across rows, a cleared cell, a doubled edge, a
+    reversed pair, an out-of-range or repeated symbol, a 3-tuple, a string."""
+    n = square.side
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    filled = [(r, c) for r, c in cells if square.grid[r][c] is not None]
+
+    def changed(*updates):
+        grid = [list(row) for row in square.grid]
+        for (r, c), cell in updates:
+            grid[r][c] = cell
+        return RoomSquare(n, tuple(tuple(row) for row in grid))
+
+    def at(rc):
+        return square.grid[rc[0]][rc[1]]
+
+    def swapped(p, q):
+        return changed((p, at(q)), (q, at(p)))
+
+    for _ in range(3):
+        r, c1, c2, r2 = (rng.randrange(n) for _ in range(4))
+        yield swapped((r, c1), (r, c2))
+        yield swapped((c1, r), (c2, r))
+        yield swapped((r, c1), (r2, c2))
+        p = rng.choice(filled)
+        a, b = at(p)
+        yield changed((p, None))
+        yield changed((rng.choice(cells), at(p)))
+        yield changed((p, (b, a)))
+        yield changed((p, (a, n + 1)))
+        yield changed((p, (-1, b)))
+        yield changed((p, (a, a)))
+        yield changed((p, (a, b, (a + b) % n)))
+        yield changed((p, f"{a}-"))
+
+
+def test_one_pass_validator_matches_the_reference():
+    rng = random.Random(23)
+    outcomes = Counter()
+    for side in range(7, ROOM_MAX_ORDER, 2):
+        square = room_square(side)
+        for case in [square, *mutated_squares(square, rng)]:
+            got = room_outcome(pf.validate_room, case)
+            assert got == room_outcome(reference_validate_room, case), (side, case.grid)
+            outcomes[got[0] if got else "valid"] += 1
+    assert outcomes["valid"] >= 80 and outcomes["CellNotEdge"] >= 400, outcomes
+    assert outcomes["EdgeMissingOrDoubled"] >= 130, outcomes
+    assert outcomes["RowNotOneFactor"] >= 90 and outcomes["ColNotOneFactor"] >= 45, outcomes
+
+
+@pytest.mark.parametrize("cell", [(False, True), (False, 1), (0, True)])
+def test_bool_symbols_are_not_an_edge(cell):
+    grid = [list(row) for row in room_square(7).grid]
+    r, c = next((r, c) for r in range(7) for c in range(7) if grid[r][c] == (0, 1))
+    grid[r][c] = cell
+    with pytest.raises(CellNotEdge, match=re.escape(f"cell ({r + 1},{c + 1}) holds {cell},")):
+        pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
+
+
+def test_list_cells_are_edges():
+    grid = [[None if cell is None else list(cell) for cell in row] for row in room_square(7).grid]
+    pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
+    # a list equal to an edge elsewhere doubles it
+    r, c = next((r, c) for r in range(7) for c in range(7) if grid[r][c] is None)
+    grid[r][c] = list(room_square(7).grid[0][0])
+    doubled = re.escape(f"at cells (1, 1) and ({r + 1},{c + 1})")
+    with pytest.raises(EdgeMissingOrDoubled, match=doubled):
+        pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
+    # any other cell is not an edge
+    for cell in ([0, 1, 2], [0, True], {0, 1}, {0: 1, 1: 2}, 5, "01"):
+        grid[r][c] = cell
+        named = re.escape(f"cell ({r + 1},{c + 1}) holds {cell!r},")
+        with pytest.raises(CellNotEdge, match=named):
+            pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
 
 
 def test_empty_grid_misses_edges():
