@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Exhaustive beta values on tiny point sets, next to the closed-form bounds.
 
-For every feasible (rho, v) with v up to the oracle cap, prints the
+For every feasible (rho, v) with v up to --v-max, prints the
 brute-force beta(rho, v) alongside beta_lower/beta_upper so divergences are
 visible at a glance (the one known overreach is the lower bound at
 rho=2, v=6).
@@ -16,7 +16,7 @@ import ppcforge as pf
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--v-max", type=int, default=8,
-                    help="largest point count to enumerate (oracle cap: 8)")
+                    help="largest point count to enumerate (the budget bounds each search)")
     ap.add_argument("--budget", type=int, default=pf.NODE_LIMIT)
     args = ap.parse_args()
 

@@ -24,10 +24,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .core import ToolkitError
 
 
-class OutOfDomain(ToolkitError):
-    """The bound is undefined for these arguments (typically v < 3*rho)."""
-
-
 def packing_number(v: int) -> int:
     """D(v): the maximum number of blocks in any PSTS(v).
 
@@ -52,7 +48,7 @@ def beta_lower(rho: int, v: int) -> int:
     it is kept as the formula value deliberately -- see the test suite.)
     """
     if rho < 1 or v < 3 * rho:
-        raise OutOfDomain(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
     d = packing_number(rho)
     if (v - rho) % 2 == 0 and (v, rho) != (6, 2):
         return rho * (v - rho) // 2 + d
@@ -67,7 +63,7 @@ def beta_upper(rho: int, v: int) -> int:
     the integral binomial form to avoid fractional intermediates.
     """
     if rho < 1 or v < 3 * rho:
-        raise OutOfDomain(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
     counting = comb(3 * rho, 2) - 2 * rho + rho * max(6, (v - 3 * rho) // 2)
     return min(counting, packing_number(v))
 
@@ -178,7 +174,7 @@ def format_table(rows: List[BoundRecord], style: str = "text") -> str:
             lines.append(f"{r.rho},{r.d_rho},{r.lower},{r.upper},{exact},{src}")
         return "\n".join(lines) + "\n"
     if style != "text":
-        raise ValueError(f"unknown table style {style!r}")
+        raise ToolkitError(f"unknown table style {style!r}")
     head = ("rho", "D(rho)", "lower", "upper")
     data = [head] + [(str(r.rho), str(r.d_rho), str(r.lower), str(r.upper)) for r in rows]
     widths = [max(len(row[i]) for row in data) for i in range(4)]

@@ -29,7 +29,7 @@ from .core import (NODE_LIMIT, Design, Exhausted, ToolkitError, deserialize,
                    read_ppc_comments, serialize)
 from .onefactor import room_square, room_to_text
 from .oracle import brute_beta
-from .ppc import certify, class_points, solve_max_ppc
+from .ppc import BadCertificate, certify, class_points, solve_max_ppc
 from .sequence import (
     check_sequencing,
     find_sequencing,
@@ -109,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if comments:
         try:
             class_points(design, comments)
-        except ValueError as exc:
+        except BadCertificate as exc:
             print(f"invalid: claimed {exc}")
             return 2
         print(f"ok: v={design.v} b={design.b}, embedded class of {len(comments)} disjoint blocks")

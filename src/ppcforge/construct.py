@@ -31,22 +31,6 @@ from .onefactor import select_factors
 Vec = Tuple[int, int]
 
 
-class BadResidue(ToolkitError):
-    """The Bose construction needs v = 3 mod 6."""
-
-
-class NoDeletablePoint(ToolkitError):
-    """No point of T avoids every representative edge (needs ell > 2*rho)."""
-
-
-class SumViolation(ToolkitError):
-    """A stored triple does not sum to (0,0) over Z_5 x Z_5."""
-
-
-class NotDisjoint(ToolkitError):
-    """The stored triples repeat a point."""
-
-
 class ConstructionWitness(NamedTuple):
     """A built design plus the certificate of its claimed maximum PPC.
 
@@ -83,7 +67,7 @@ def _join(rho: int, ell: int, packing: Sequence[Block], trim: bool = False) -> C
         rep_points = {p for rep in sel.reps for p in rep}
         x = next((p for p in range(ell) if p not in rep_points), None)
         if x is None:
-            raise NoDeletablePoint(
+            raise ToolkitError(
                 f"every T-point lies on a representative edge (ell={ell}, rho={rho})"
             )
         # p - (p > x) closes the gap and keeps the order of the points left, so
@@ -276,7 +260,7 @@ def construct_bose(v: int) -> ConstructionWitness:
     triples are {(x,j),(y,j),((x+y)/2, j+1)} for x < y, halving mod n.
     """
     if v % 6 != 3:
-        raise BadResidue(f"need v = 3 mod 6, got {v}")
+        raise ToolkitError(f"need v = 3 mod 6, got {v}")
     n = v // 3
     design = validate(v, _bose(v))
     assert design.b == v * (v - 1) // 6
@@ -319,11 +303,11 @@ def check_sts27_triples(
         sy = sum(p[1] for p in tri) % 5
         if (sx, sy) != (0, 0):
             pretty = ",".join(f"{p[0]}{p[1]}" for p in tri)
-            raise SumViolation(f"triple {{{pretty}}} sums to ({sx},{sy}), not (0,0)")
+            raise ToolkitError(f"triple {{{pretty}}} sums to ({sx},{sy}), not (0,0)")
         for p in tri:
             if not (0 <= p[0] < 5 and 0 <= p[1] < 5):
                 raise OutOfRange(f"point {p} is outside Z_5 x Z_5")
             if p in seen:
-                raise NotDisjoint(f"point {p[0]}{p[1]} appears in two triples")
+                raise ToolkitError(f"point {p[0]}{p[1]} appears in two triples")
             seen.add(p)
     return checked

@@ -9,6 +9,10 @@ limit ``NODE_LIMIT`` and the errors ``Exhausted`` and ``SearchTooDeep``.
 Each search counts its nodes in a local and raises ``Exhausted`` on the
 first node past its limit.
 
+Every failure the package reports is a ``ToolkitError``.  A failure has a
+subclass of its own only where some caller tells it apart; every other
+failure raises ``ToolkitError`` itself, and its message says what failed.
+
 Points are always the dense labels 0..v-1.  Blocks are kept canonical:
 each block is an ascending 3-tuple and the block list is sorted
 lexicographically.  ``Design`` is an immutable ``NamedTuple`` record, so it
@@ -26,11 +30,13 @@ NODE_LIMIT = 20_000_000
 
 
 class ToolkitError(Exception):
-    """Base class for every structured error raised by this package."""
+    """Base class of every error this package raises, and raised itself for
+    each failure that no caller tells apart by a subclass of its own."""
 
 
 class OutOfRange(ToolkitError):
-    """A block mentions a point outside 0..v-1."""
+    """A count or a point lies outside its range: a point count below 1, a
+    block point outside 0..v-1, rho below 1, a point outside Z_5 x Z_5."""
 
 
 class RepeatedPoint(ToolkitError):

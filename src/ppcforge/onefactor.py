@@ -44,20 +44,8 @@ Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
 
 
-class OddOrder(ToolkitError):
-    """One-factorizations need an even number of vertices."""
-
-
-class BadSide(ToolkitError):
-    """Room squares require an odd side of at least 7."""
-
-
-class Unconstructible(ToolkitError):
-    """The toolkit has no construction for what was asked."""
-
-
 class RoomValidationError(ToolkitError):
-    """Base for the four Room square condition failures."""
+    """A grid that is not side x side; base of the four condition failures."""
 
 
 class CellNotEdge(RoomValidationError):
@@ -74,10 +62,6 @@ class RowNotOneFactor(RoomValidationError):
 
 class ColNotOneFactor(RoomValidationError):
     pass
-
-
-class Infeasible(ToolkitError):
-    """The requested factor selection cannot exist."""
 
 
 class RoomSquare(NamedTuple):
@@ -104,7 +88,7 @@ def round_robin(ell: int) -> Tuple[Factor, ...]:
     with the fixed vertex and pairs r-k with r+k (mod ell-1) for each k.
     """
     if ell < 2 or ell % 2:
-        raise OddOrder(f"need an even order >= 2, got {ell}")
+        raise ToolkitError(f"need an even order >= 2, got {ell}")
     return tuple(_circle_factor(ell, r) for r in range(ell - 1))
 
 
@@ -129,7 +113,7 @@ def rainbow_matching(ell: int) -> List[Tuple[Edge, int]]:
     the factor indices are pairwise distinct.
     """
     if ell < 6 or ell % 2:
-        raise Infeasible(f"rainbow matchings are built for even orders >= 6, got {ell}")
+        raise ToolkitError(f"rainbow matchings are built for even orders >= 6, got {ell}")
     m = ell - 1
     if m % 4 == 1:
         edges = [(0, m)] + [(2 * j + 1, 2 * j + 2) for j in range((m - 1) // 2)]
@@ -288,17 +272,17 @@ def room_square(side: int) -> RoomSquare:
     Sides must be odd and at least 7 (there is no Room square of side 3 or
     5, and side 1 is trivial and unused here).  Side 9 is the stored
     square, the other sides up to 51 develop the stored strong starter of
-    Z_side, and every larger side raises ``Unconstructible``.
+    Z_side, and every larger side raises ``ToolkitError``.
     """
     if side % 2 == 0 or side < 7:
-        raise BadSide(f"Room squares need an odd side >= 7, got {side}")
+        raise ToolkitError(f"Room squares need an odd side >= 7, got {side}")
     if side == 9:
         grid = tuple(tuple(_SIDE9_CELLS.get((r, c)) for c in range(9)) for r in range(9))
         square = RoomSquare(9, grid)
     elif side in _STARTERS:
         square = _square_from_starter(side, _stored_starter(side))
     else:
-        raise Unconstructible(
+        raise ToolkitError(
             f"ppcforge builds Room squares of odd sides 7 to {ROOM_MAX_ORDER - 1} "
             f"only (one exists for every odd side >= 7), got {side}"
         )
@@ -307,14 +291,17 @@ def room_square(side: int) -> RoomSquare:
 
 
 def validate_room(square: RoomSquare) -> None:
-    """Check the four Room square conditions in order: cells hold edges,
-    every edge of K_{side+1} appears exactly once, rows are one-factors,
-    columns are one-factors.  Raises the error for the first violation.
-    One pass over the cells checks each edge and ORs its symbol bits into
-    masks for its row and column: as every edge has a < b, a line covers
-    0..side exactly once when its mask is full and it holds (side+1)/2
-    cells."""
+    """Check that the grid is side x side (``RoomValidationError`` itself
+    if not), then the four Room square conditions in order: cells hold
+    edges, every edge of K_{side+1} appears exactly once, rows are
+    one-factors, columns are one-factors.  Raises the error for the first
+    violation.  One pass over the cells checks each edge and ORs its symbol
+    bits into masks for its row and column: as every edge has a < b, a line
+    covers 0..side exactly once when its mask is full and it holds
+    (side+1)/2 cells."""
     n = square.side
+    if len(square.grid) != n or any(len(row) != n for row in square.grid):
+        raise RoomValidationError(f"grid is not {n} x {n} cells")
     sym = n + 1
     full, half = (1 << sym) - 1, sym // 2
     seen: Dict[Edge, int] = {}  # edge -> r*n + c of its cell
@@ -416,11 +403,11 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     the sorted blocks of a factor join takes exactly the witness class.
     """
     if ell < 2 or ell % 2:
-        raise OddOrder(f"need an even order >= 2, got {ell}")
+        raise ToolkitError(f"need an even order >= 2, got {ell}")
     if rho < 1 or 2 * rho > ell:
-        raise Infeasible(f"need 1 <= rho <= ell/2, got rho={rho}, ell={ell}")
+        raise ToolkitError(f"need 1 <= rho <= ell/2, got rho={rho}, ell={ell}")
     if (ell, rho) == (4, 2):
-        raise Infeasible("two vertex-disjoint edges of K_4 lie in one one-factor")
+        raise ToolkitError("two vertex-disjoint edges of K_4 lie in one one-factor")
     if ell <= 4:
         factor = round_robin(ell)[0]
         return FactorSelection((factor,), (factor[0],))

@@ -13,12 +13,7 @@ rho.
 from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
-from .bounds import OutOfDomain
 from .core import NODE_LIMIT, Block, Design, Exhausted, ToolkitError
-
-
-class TooLarge(ToolkitError):
-    """Instance exceeds the deliberate size cap of the brute-force oracle."""
 
 
 def _max_ppc_masks(masks: List[int]) -> int:
@@ -41,7 +36,7 @@ def _max_ppc_masks(masks: List[int]) -> int:
 def brute_max_ppc(design: Design, cap: int = 25) -> int:
     """Maximum PPC size by enumerating every set of disjoint blocks."""
     if design.b > cap:
-        raise TooLarge(f"{design.b} blocks exceeds the oracle cap of {cap}")
+        raise ToolkitError(f"{design.b} blocks exceeds the oracle cap of {cap}")
     return _max_ppc_masks([(1 << x) | (1 << y) | (1 << z) for x, y, z in design.blocks])
 
 
@@ -52,7 +47,7 @@ class BetaResult(NamedTuple):
     complete: bool  # False = budget ran out, value is only a lower bound
 
 
-def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> BetaResult:
+def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT) -> BetaResult:
     """beta(rho, v) by exhaustive search over PSTS(v) block sets.
 
     Enumerates designs as lexicographically increasing chains of triples
@@ -65,13 +60,12 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT, cap: int = 8) -> Beta
     chain's compatible triples are its parent's, past the new triple,
     whose pairs miss the new triple's.
 
-    The search gets ``budget`` nodes, by default ``NODE_LIMIT``; when they
-    run out, ``complete`` is False and ``value`` is only a lower bound.
+    The search gets ``budget`` nodes, by default ``NODE_LIMIT``, and no
+    other limit; when they run out, ``complete`` is False and ``value`` is
+    only a lower bound.
     """
-    if v > cap:
-        raise TooLarge(f"v={v} exceeds the oracle cap of {cap}")
     if rho < 1 or v < 3 * rho:
-        raise OutOfDomain(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
 
     triples: List[Block] = list(combinations(range(v), 3))
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triples]

@@ -30,7 +30,7 @@ class NotMaximum(ToolkitError):
 
 
 class BadCertificate(ToolkitError):
-    """A class and a cover handed to ``certify`` do not prove the maximum."""
+    """A claimed class is not disjoint blocks of the design, or its cover fails."""
 
 
 class PpcResult(NamedTuple):
@@ -200,8 +200,8 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
 def class_points(design: Design, blocks: Sequence[Block]) -> Set[int]:
     """The points a claimed class covers.
 
-    Raises ValueError unless every block is a block of the design and no
-    two blocks share a point.  The design's blocks are canonical and
+    Raises ``BadCertificate`` unless every block is a block of the design
+    and no two blocks share a point.  The design's blocks are canonical and
     sorted, so each class block is looked up by bisection.
     """
     rows = design.blocks
@@ -213,10 +213,10 @@ def class_points(design: Design, blocks: Sequence[Block]) -> Set[int]:
         except TypeError:  # points that do not compare with ints match no block
             i = len(rows)
         if i == len(rows) or rows[i] != key:
-            raise ValueError(f"class block {blk} is not in the design")
+            raise BadCertificate(f"class block {blk} is not in the design")
         for p in blk:
             if p in covered:
-                raise ValueError(f"class reuses point {p}")
+                raise BadCertificate(f"class reuses point {p}")
             covered.add(p)
     return covered
 
@@ -233,10 +233,7 @@ def certify(design: Design, klass: Sequence[Block], cover: Sequence[int]) -> int
     if len(klass) != len(cover):
         raise BadCertificate(
             f"class of {len(klass)} blocks against a cover of {len(cover)} points")
-    try:
-        class_points(design, klass)
-    except ValueError as exc:
-        raise BadCertificate(str(exc)) from None
+    class_points(design, klass)
     met = set(cover)
     # the largest point first: a factor join's apex points are its top labels
     for a, b, c in design.blocks:
@@ -283,7 +280,7 @@ def extension_profile(
     """
     if isinstance(ppc, PpcResult):
         if not ppc.optimal:
-            raise ValueError("profile needs a proven-maximum class")
+            raise ToolkitError("profile needs a proven-maximum class")
         ppc = ppc.witness
     covered = class_points(design, ppc)
     mask = sum(1 << p for p in covered)

@@ -28,10 +28,6 @@ from .core import NODE_LIMIT, Design, Exhausted, ParseError, SearchTooDeep, Tool
 from .ppc import greedy_transversal
 
 
-class NotPermutation(ToolkitError):
-    """The provided sequence is not a permutation of the design's points."""
-
-
 class Sequencing(NamedTuple):
     perm: Tuple[int, ...]
     valid: bool
@@ -107,7 +103,7 @@ def check_sequencing(design: Design, perm: Sequence[int]) -> Sequencing:
     perm = tuple(perm)
     # ints only, as validate's points: type(), since bool subclasses int
     if not all(type(p) is int for p in perm) or sorted(perm) != list(range(v)):
-        raise NotPermutation(f"expected a permutation of 0..{v - 1}")
+        raise ToolkitError(f"expected a permutation of 0..{v - 1}")
     violation = _first_union(_WindowOracle(design), perm)
     return Sequencing(perm, violation is None, violation)
 

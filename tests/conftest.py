@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -65,6 +66,15 @@ def fano_union(copies):
     """``copies`` disjoint Fano planes on 7 * copies points."""
     return pf.validate(7 * copies, [(7 * k + i, 7 * k + (i + 1) % 7, 7 * k + (i + 3) % 7)
                                     for k in range(copies) for i in range(7)])
+
+
+@contextlib.contextmanager
+def raises_exactly(message, cls=pf.ToolkitError):
+    """``pytest.raises`` of exactly ``cls``, no subclass, with exactly
+    ``message``, matched literally from its first character to its last."""
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as info:
+        yield info
+    assert info.type is cls, info.type
 
 
 @contextlib.contextmanager

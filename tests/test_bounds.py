@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ppcforge as pf
-from ppcforge.bounds import OutOfDomain, bound_table, format_table
+from ppcforge.bounds import bound_table, format_table
+
+from conftest import raises_exactly
 
 
 TABLE1 = {
@@ -47,7 +49,7 @@ def test_beta_lower_62_exception():
 
 
 def test_beta_lower_domain():
-    with pytest.raises(OutOfDomain):
+    with raises_exactly("need v >= 3*rho >= 3, got rho=3, v=8"):
         pf.beta_lower(3, 8)
 
 
@@ -58,7 +60,7 @@ def test_beta_upper_table1_rows():
 
 
 def test_beta_upper_domain():
-    with pytest.raises(OutOfDomain):
+    with raises_exactly("need v >= 3*rho >= 3, got rho=2, v=5"):
         pf.beta_upper(2, 5)
 
 

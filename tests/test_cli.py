@@ -405,8 +405,9 @@ def test_roomsquare_past_the_stored_sides_fails_at_once(capsys):
 
 
 def test_roomsquare_even_side_fails(capsys):
-    rc, _, stderr = run(capsys, "roomsquare", "--side", "8")
-    assert rc == 1 and "error:" in stderr
+    rc, stdout, stderr = run(capsys, "roomsquare", "--side", "8")
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: Room squares need an odd side >= 7, got 8\n"
 
 
 def test_oracle_beta(capsys):
@@ -416,6 +417,15 @@ def test_oracle_beta(capsys):
     assert lines[0] == "beta(1,5) = 2"
     witness = pf.deserialize("\n".join(lines[lines.index("witness:") + 1:]))
     assert witness.v == 5 and witness.b == 2
+
+
+def test_oracle_beta_past_v8_answers_or_runs_out(capsys):
+    # no size cap: v = 9 answers, and past it the budget is the limit
+    rc, stdout, _ = run(capsys, "oracle", "beta", "--rho", "1", "--v", "9")
+    assert rc == 0 and stdout.splitlines()[0] == "beta(1,9) = 7"
+    rc, stdout, stderr = run(capsys, "oracle", "beta", "--rho", "2", "--v", "10", "--budget", "100")
+    assert rc == 3 and stdout == ""
+    assert stderr.startswith("budget exhausted; best found so far ")
 
 
 def test_check_sts27(capsys):

@@ -4,15 +4,10 @@ from collections import Counter
 import pytest
 
 import ppcforge as pf
-from ppcforge.construct import (
-    BadResidue,
-    NoDeletablePoint,
-    NotDisjoint,
-    SumViolation,
-    check_sts27_triples,
-)
-from ppcforge.onefactor import Infeasible
+from ppcforge.construct import check_sts27_triples
 from ppcforge.ppc import BadCertificate
+
+from conftest import raises_exactly
 
 
 def test_example_rho3_ell8(example11):
@@ -35,7 +30,7 @@ def test_tiny_pure_case():
 
 
 def test_infeasible_pair_propagates():
-    with pytest.raises(Infeasible):
+    with raises_exactly("two vertex-disjoint edges of K_4 lie in one one-factor"):
         pf.factor_join(2, 4)
 
 
@@ -98,7 +93,7 @@ def test_trimmed_examples():
 
 
 def test_trimmed_needs_headroom():
-    with pytest.raises(NoDeletablePoint):
+    with raises_exactly("every T-point lies on a representative edge (ell=6, rho=3)"):
         pf.factor_join_odd(3, 6)
 
 
@@ -209,7 +204,7 @@ def test_bose_15():
 
 
 def test_bose_bad_residue():
-    with pytest.raises(BadResidue):
+    with raises_exactly("need v = 3 mod 6, got 13"):
         pf.construct_bose(13)
 
 
@@ -225,12 +220,12 @@ def test_sts27_single_triple_sum():
 
 
 def test_sts27_mutation_breaks_sum():
-    with pytest.raises(SumViolation):
+    with raises_exactly("triple {10,11,33} sums to (0,4), not (0,0)"):
         check_sts27_triples((((1, 0), (1, 1), (3, 3)),))
 
 
 def test_sts27_repeat_breaks_disjointness():
-    with pytest.raises(NotDisjoint):
+    with raises_exactly("point 10 appears in two triples"):
         check_sts27_triples(
             (((1, 0), (1, 1), (3, 4)), ((1, 0), (2, 2), (2, 3)))
         )

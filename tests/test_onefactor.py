@@ -11,12 +11,9 @@ import ppcforge as pf
 from ppcforge.onefactor import (
     ROOM_MAX_ORDER,
     _STARTERS,
-    BadSide,
     CellNotEdge,
     ColNotOneFactor,
     EdgeMissingOrDoubled,
-    Infeasible,
-    OddOrder,
     RoomSquare,
     RoomValidationError,
     RowNotOneFactor,
@@ -27,6 +24,8 @@ from ppcforge.onefactor import (
     strong_starter,
     _stored_starter,
 )
+
+from conftest import raises_exactly
 
 
 def all_edges(ell):
@@ -49,7 +48,7 @@ def test_round_robin_covers_every_edge_once(ell):
 
 
 def test_round_robin_rejects_odd():
-    with pytest.raises(OddOrder):
+    with raises_exactly("need an even order >= 2, got 5"):
         pf.round_robin(5)
 
 
@@ -137,7 +136,7 @@ def test_rainbow_matching_meets_each_factor_once():
         if m < 60:
             factors = pf.round_robin(m + 1)
             assert all(e in factors[r] for e, r in pairs), m
-    with pytest.raises(Infeasible):
+    with raises_exactly("rainbow matchings are built for even orders >= 6, got 4"):
         rainbow_matching(4)
 
 
@@ -160,8 +159,17 @@ def test_generated_squares_validate(side):
 
 def test_bad_sides():
     for side in (3, 5, 8, 1):
-        with pytest.raises(BadSide):
+        with raises_exactly(f"Room squares need an odd side >= 7, got {side}"):
             room_square(side)
+
+
+def test_validate_room_checks_the_shape_first():
+    # an eighth column of empty cells, an eighth empty row, a row missing:
+    # each is the wrong shape, whatever its cells would fail
+    grid = room_square(7).grid
+    for bad in (tuple(row + (None,) for row in grid), grid + ((None,) * 7,), grid[:-1]):
+        with raises_exactly("grid is not 7 x 7 cells", RoomValidationError):
+            pf.validate_room(RoomSquare(7, bad))
 
 
 def test_swapped_diagonal_breaks_a_row_first():
@@ -400,7 +408,7 @@ def test_rainbow_selection_is_proven_at_the_root(ell):
 
 
 def test_select_factors_4_2_infeasible():
-    with pytest.raises(Infeasible, match="disjoint edges of K_4 lie in one one-factor"):
+    with raises_exactly("two vertex-disjoint edges of K_4 lie in one one-factor"):
         pf.select_factors(4, 2)
 
 

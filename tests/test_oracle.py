@@ -1,11 +1,9 @@
-import pytest
 from hypothesis import given, settings
 
 import ppcforge as pf
-from ppcforge.bounds import OutOfDomain
-from ppcforge.oracle import TooLarge, brute_beta, brute_max_ppc
+from ppcforge.oracle import brute_beta, brute_max_ppc
 
-from conftest import designs
+from conftest import designs, raises_exactly
 
 
 def test_ppc_oracle_small_designs(psts7, bose9):
@@ -18,7 +16,7 @@ def test_ppc_oracle_small_designs(psts7, bose9):
 def test_ppc_oracle_refuses_large_inputs(example11):
     padded = pf.Design(60, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(20)))
     assert brute_max_ppc(padded) == 20
-    with pytest.raises(TooLarge):
+    with raises_exactly("20 blocks exceeds the oracle cap of 19"):
         brute_max_ppc(padded, cap=19)
     assert brute_max_ppc(example11.design) == 3
 
@@ -85,12 +83,24 @@ def test_beta_budget_starvation_is_labelled():
 
 
 def test_beta_caps_and_domain():
-    with pytest.raises(TooLarge):
-        brute_beta(2, 9)
-    with pytest.raises(OutOfDomain):
+    # no size cap: past v = 8 the search runs, and its budget is its limit
+    for v in (9, 10, 12):
+        res = brute_beta(2, v, budget=50)
+        assert not res.complete and res.nodes == 51, v
+    with raises_exactly("need v >= 3*rho >= 3, got rho=0, v=6"):
         brute_beta(0, 6)
-    with pytest.raises(OutOfDomain):
+    with raises_exactly("need v >= 3*rho >= 3, got rho=2, v=5"):
         brute_beta(2, 5)
+
+
+def test_beta_1_9_is_seven():
+    # the Fano plane and two isolated points; 7 = beta_upper(1, 9), so the
+    # value lies in the bracket
+    res = brute_beta(1, 9)
+    assert res.complete and (res.value, res.nodes) == (7, 4126)
+    assert pf.beta_lower(1, 9) <= res.value <= pf.beta_upper(1, 9) == 7
+    d = pf.validate(9, res.witness)
+    assert d.b == 7 and brute_max_ppc(d) == 1
 
 
 def test_beta_below_packing_number():

@@ -11,7 +11,7 @@ import ppcforge as pf
 from ppcforge.ppc import (BadCertificate, ExtensionProfile, NotMaximum, certify, class_points,
                           extension_profile)
 
-from conftest import designs, fano_union, linear_subset, recursion_headroom
+from conftest import designs, fano_union, linear_subset, raises_exactly, recursion_headroom
 
 
 def test_psts7_has_max_ppc_2(psts7):
@@ -245,19 +245,19 @@ def test_profile_rejects_swap_improvable():
 
 
 def test_profile_rejects_overlapping_class(psts7):
-    with pytest.raises(ValueError):
+    with raises_exactly("class reuses point 2", BadCertificate):
         extension_profile(psts7, [(0, 1, 2), (2, 5, 6)])
 
 
 def test_profile_rejects_foreign_block(psts7):
-    with pytest.raises(ValueError):
+    with raises_exactly("class block (0, 1, 3) is not in the design", BadCertificate):
         extension_profile(psts7, [(0, 1, 3)])
 
 
 def test_profile_requires_proven_optimum(fano):
     capped = pf.solve_max_ppc(fano, budget=1)
     assert not capped.optimal
-    with pytest.raises(ValueError):
+    with raises_exactly("profile needs a proven-maximum class"):
         extension_profile(fano, capped)
 
 
@@ -360,10 +360,10 @@ def reference_class_points(design, blocks):
     covered = set()
     for blk in blocks:
         if tuple(sorted(blk)) not in block_set:
-            raise ValueError(f"class block {blk} is not in the design")
+            raise BadCertificate(f"class block {blk} is not in the design")
         for p in blk:
             if p in covered:
-                raise ValueError(f"class reuses point {p}")
+                raise BadCertificate(f"class reuses point {p}")
             covered.add(p)
     return covered
 
@@ -371,7 +371,7 @@ def reference_class_points(design, blocks):
 def class_outcome(fn, design, blocks):
     try:
         return fn(design, blocks)
-    except ValueError as exc:
+    except BadCertificate as exc:
         return str(exc)
 
 
