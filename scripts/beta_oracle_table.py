@@ -16,7 +16,7 @@ import ppcforge as pf
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--v-max", type=int, default=8,
-                    help="largest point count to enumerate (the budget bounds each search)")
+                    help="largest point count to enumerate (oracle cap: 9)")
     ap.add_argument("--budget", type=int, default=pf.NODE_LIMIT)
     args = ap.parse_args()
 

@@ -60,10 +60,12 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT) -> BetaResult:
     chain's compatible triples are its parent's, past the new triple,
     whose pairs miss the new triple's.
 
-    The search gets ``budget`` nodes, by default ``NODE_LIMIT``, and no
-    other limit; when they run out, ``complete`` is False and ``value`` is
-    only a lower bound.
+    The search gets ``budget`` nodes, by default ``NODE_LIMIT``; when they
+    run out, ``complete`` is False and ``value`` is only a lower bound.
+    v is capped at 9: the pair masks alone take C(v,3) * v**2 bits.
     """
+    if v > 9:
+        raise ToolkitError(f"v={v} exceeds the oracle cap of 9")
     if rho < 1 or v < 3 * rho:
         raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
 

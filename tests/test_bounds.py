@@ -125,6 +125,11 @@ def test_row_format_is_stable():
     assert text.splitlines()[0] == "1,0,13,13,13,lower=generic-theorem;upper=generic-theorem"
 
 
+def test_unknown_table_style_is_an_error():
+    with raises_exactly("unknown table style 'csv'"):
+        format_table(bound_table(27, 3), "csv")
+
+
 def test_lower_never_exceeds_upper():
     for v in range(3, 201):
         for rho in range(1, v // 6 + 2):

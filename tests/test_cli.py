@@ -419,13 +419,12 @@ def test_oracle_beta(capsys):
     assert witness.v == 5 and witness.b == 2
 
 
-def test_oracle_beta_past_v8_answers_or_runs_out(capsys):
-    # no size cap: v = 9 answers, and past it the budget is the limit
+def test_oracle_beta_answers_at_its_cap_and_refuses_past_it(capsys):
     rc, stdout, _ = run(capsys, "oracle", "beta", "--rho", "1", "--v", "9")
     assert rc == 0 and stdout.splitlines()[0] == "beta(1,9) = 7"
     rc, stdout, stderr = run(capsys, "oracle", "beta", "--rho", "2", "--v", "10", "--budget", "100")
-    assert rc == 3 and stdout == ""
-    assert stderr.startswith("budget exhausted; best found so far ")
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: v=10 exceeds the oracle cap of 9\n"
 
 
 def test_check_sts27(capsys):

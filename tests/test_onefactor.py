@@ -161,6 +161,9 @@ def test_bad_sides():
     for side in (3, 5, 8, 1):
         with raises_exactly(f"Room squares need an odd side >= 7, got {side}"):
             room_square(side)
+    with raises_exactly("ppcforge builds Room squares of odd sides 7 to 51 only "
+                        "(one exists for every odd side >= 7), got 53"):
+        room_square(53)
 
 
 def test_validate_room_checks_the_shape_first():
@@ -410,6 +413,11 @@ def test_rainbow_selection_is_proven_at_the_root(ell):
 def test_select_factors_4_2_infeasible():
     with raises_exactly("two vertex-disjoint edges of K_4 lie in one one-factor"):
         pf.select_factors(4, 2)
+
+
+def test_select_factors_needs_rho_at_most_half_ell():
+    with raises_exactly("need 1 <= rho <= ell/2, got rho=5, ell=8"):
+        pf.select_factors(8, 5)
 
 
 @pytest.mark.parametrize("ell", range(6, 61, 2))  # both rules, past ROOM_MAX_ORDER too

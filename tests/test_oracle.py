@@ -83,10 +83,14 @@ def test_beta_budget_starvation_is_labelled():
 
 
 def test_beta_caps_and_domain():
-    # no size cap: past v = 8 the search runs, and its budget is its limit
-    for v in (9, 10, 12):
-        res = brute_beta(2, v, budget=50)
-        assert not res.complete and res.nodes == 51, v
+    # v = 9 runs, and its budget still stops it; past 9 the cap refuses
+    res = brute_beta(2, 9, budget=50)
+    assert not res.complete and res.nodes == 51
+    for v in (10, 12):
+        with raises_exactly(f"v={v} exceeds the oracle cap of 9"):
+            brute_beta(2, v, budget=50)
+    with raises_exactly("need v >= 3*rho >= 3, got rho=1, v=2"):
+        brute_beta(1, 2)
     with raises_exactly("need v >= 3*rho >= 3, got rho=0, v=6"):
         brute_beta(0, 6)
     with raises_exactly("need v >= 3*rho >= 3, got rho=2, v=5"):

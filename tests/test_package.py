@@ -8,15 +8,7 @@ import pkgutil
 import pydoc
 import re
 
-import pytest
-
 import ppcforge as pf
-from ppcforge.bounds import format_table
-from ppcforge.construct import check_sts27_triples
-from ppcforge.onefactor import rainbow_matching
-from ppcforge.ppc import BadCertificate, class_points, extension_profile
-
-from conftest import fano_union, raises_exactly
 
 
 def test_all_holds_the_public_names():
@@ -57,56 +49,3 @@ def test_error_classes_are_the_kept_ones():
                     and obj.__module__ == module.__name__]
     assert sorted(defined) == sorted(KEPT_ERRORS)
 
-
-# one row per message of a failure that has no class of its own
-PLAIN_FAILURES = [
-    (lambda: pf.beta_lower(3, 8), "need v >= 3*rho >= 3, got rho=3, v=8"),
-    (lambda: pf.beta_upper(2, 5), "need v >= 3*rho >= 3, got rho=2, v=5"),
-    (lambda: pf.brute_beta(1, 2), "need v >= 3*rho >= 3, got rho=1, v=2"),
-    (lambda: pf.construct_bose(10), "need v = 3 mod 6, got 10"),
-    (lambda: pf.factor_join_odd(3, 6),
-     "every T-point lies on a representative edge (ell=6, rho=3)"),
-    (lambda: check_sts27_triples((((1, 0), (1, 1), (3, 3)),)),
-     "triple {10,11,33} sums to (0,4), not (0,0)"),
-    (lambda: check_sts27_triples((((1, 0), (1, 1), (3, 4)), ((1, 1), (2, 2), (2, 2)))),
-     "point 11 appears in two triples"),
-    (lambda: pf.round_robin(5), "need an even order >= 2, got 5"),
-    (lambda: pf.room_square(8), "Room squares need an odd side >= 7, got 8"),
-    (lambda: pf.room_square(53), "ppcforge builds Room squares of odd sides 7 to 51 only "
-                                 "(one exists for every odd side >= 7), got 53"),
-    (lambda: rainbow_matching(4), "rainbow matchings are built for even orders >= 6, got 4"),
-    (lambda: pf.select_factors(8, 5), "need 1 <= rho <= ell/2, got rho=5, ell=8"),
-    (lambda: pf.select_factors(4, 2), "two vertex-disjoint edges of K_4 lie in one one-factor"),
-    (lambda: pf.brute_max_ppc(pf.Design(45, tuple((3 * i, 3 * i + 1, 3 * i + 2)
-                                                  for i in range(15))), cap=14),
-     "15 blocks exceeds the oracle cap of 14"),
-    (lambda: pf.check_sequencing(pf.validate(4, [(0, 1, 2)]), (3, 2, 1, 1)),
-     "expected a permutation of 0..3"),
-]
-
-
-@pytest.mark.parametrize("call,message", PLAIN_FAILURES)
-def test_plain_failures_raise_toolkit_error(call, message):
-    with raises_exactly(message):
-        call()
-
-
-# these raised a bare ValueError before; each is now a ToolkitError
-FORMER_VALUE_ERRORS = [
-    (lambda: class_points(pf.psts7_fixture(), [(0, 1, 3)]), BadCertificate,
-     "class block (0, 1, 3) is not in the design"),
-    (lambda: class_points(pf.psts7_fixture(), [(0, 1, 2), (2, 5, 6)]), BadCertificate,
-     "class reuses point 2"),
-    (lambda: extension_profile(pf.psts7_fixture(), [(0, 1, 2), (0, 3, 6)]), BadCertificate,
-     "class reuses point 0"),
-    (lambda: extension_profile(fano_union(1), pf.solve_max_ppc(fano_union(1), budget=1)),
-     pf.ToolkitError, "profile needs a proven-maximum class"),
-    (lambda: format_table(pf.bound_table(27, 3), "csv"), pf.ToolkitError,
-     "unknown table style 'csv'"),
-]
-
-
-@pytest.mark.parametrize("call,cls,message", FORMER_VALUE_ERRORS)
-def test_former_value_errors_are_toolkit_errors(call, cls, message):
-    with raises_exactly(message, cls):
-        call()
