@@ -8,7 +8,11 @@ check decides.  The t blocks of such a window form a PPC, and each holds its
 own point of any transversal, so t <= nu <= tau: ``check_sequencing`` and
 the search look only at windows with t up to the size tau of one greedy
 transversal, and a window with fewer than t of its points is rejected
-before any exact-cover search.
+before any exact-cover search.  The exact-cover test answers a memo hit or
+such a reject before it allocates anything.  Its memo keeps every True
+verdict and the False verdict of every mask it explored, but not that of
+a queried window with no block inside it through its lowest point: one
+scan of that point's blocks rejects it again.
 ``find_sequencing`` searches for such a permutation by prefix backtracking,
 pruning every prefix whose tail window partitions.  Each (window, point)
 pair goes to the exact-cover test at most once per search, and two flat
@@ -53,14 +57,19 @@ class _WindowOracle:
     window can participate, which the subset test enforces for free.  The
     blocks of a partition are disjoint and each holds a point of the
     transversal ``cover``, so a mask with fewer than |mask|/3 cover points
-    fails at once, and nothing is memoized for it.  ``partitions`` walks
-    the remainders from a list, not by recursion, so any window is tested;
-    each remainder it explores is memoized False, and on success those
-    entries give way to one True for the queried mask.
+    fails at once.  ``partitions`` answers a memo hit or such a reject
+    before it allocates anything.  A queried mask with no block inside it
+    through its lowest point is rejected by one scan of that point's blocks
+    and not memoized: a window check asks about most windows once, so its
+    verdict would only grow the memo.  Otherwise ``partitions`` walks the
+    remainders from a list, not by recursion, so any window is tested.  The
+    mask and each remainder it explores are memoized False, since other
+    walks meet remainders again, and on success those entries give way to
+    one True for the queried mask.
     """
 
     def __init__(self, design: Design):
-        self.by_point: Dict[int, List[int]] = {p: [] for p in range(design.v)}
+        self.by_point: List[List[int]] = [[] for _ in range(design.v)]
         for a, b, c in design.blocks:
             m = (1 << a) | (1 << b) | (1 << c)
             self.by_point[a].append(m)
@@ -72,9 +81,18 @@ class _WindowOracle:
         self.memo: Dict[int, bool] = {0: True}
 
     def partitions(self, mask: int) -> bool:
-        memo, cover = self.memo, self.cover
-        explored = []  # False in the memo unless this call succeeds
-        todo = [mask]
+        memo, cover, by_point = self.memo, self.cover, self.by_point
+        known = memo.get(mask)
+        if known is not None:
+            return known
+        if 3 * (mask & cover).bit_count() < mask.bit_count():
+            return False
+        p = (mask & -mask).bit_length() - 1
+        todo = [mask & ~bm for bm in by_point[p] if bm & mask == bm]
+        if not todo:
+            return False
+        memo[mask] = False
+        explored = [mask]  # False in the memo unless this call succeeds
         while todo:
             m = todo.pop()
             known = memo.get(m)
@@ -87,7 +105,7 @@ class _WindowOracle:
                 memo[m] = False
                 explored.append(m)
                 p = (m & -m).bit_length() - 1
-                todo += [m & ~bm for bm in self.by_point[p] if bm & m == bm]
+                todo += [m & ~bm for bm in by_point[p] if bm & m == bm]
         return False
 
 
@@ -155,7 +173,11 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     widest window is the one most nodes die at, and returns as soon as none
     is left.  A candidate some window has not yet tested goes to the oracle
     in increasing t, so the order of the windows changes no answer and no
-    node count.  ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
+    node count.  The permutation found is checked against the search's own
+    oracle: its memo answers the windows whose verdicts it kept, and a
+    window whose False verdict was not kept (no block inside it through its
+    lowest point) is re-derived by one scan of that point's blocks.
+    ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
     search; a search that runs out of it finds and proves nothing.  Raises
     ``SearchTooDeep`` when the search nests deeper than the interpreter's
     recursion limit.
@@ -169,7 +191,7 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     placed = [0] * (v + 1)
     # widest[depth] lists those lo for the windows of 3t-1 placed points that
     # a new point completes to 3t, for t = tau..1: the widest window first
-    widest = [tuple(range(d - 2, max(d - 3 * oracle.tau - 2, -1), -3))[::-1] for d in range(v)]
+    widest = [tuple(range(max((d - 2) % 3, d + 1 - 3 * oracle.tau), d - 1, 3)) for d in range(v)]
     # window of 3t-1 placed points -> the points tested with it, and the
     # points that complete it to a union of t blocks; one entry per window
     # for the whole search, so no (window, point) pair is tested twice
@@ -230,7 +252,7 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
         return SearchOutcome(None, True, nodes, "exhaustion")
     perm = tuple((placed[d + 1] ^ placed[d]).bit_length() - 1 for d in range(v))
     # the search tested every window of perm, so this self-check answers
-    # each from the oracle's memo or its cover count and builds nothing
+    # each from the oracle's memo, its cover count or one scan of a point
     assert _first_union(oracle, perm) is None
     return SearchOutcome(Sequencing(perm, True), False, nodes)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ppcforge as pf
 from ppcforge.ppc import greedy_transversal
-from ppcforge.sequence import SearchTooDeep, _WindowOracle
+from ppcforge.sequence import SearchTooDeep, _first_union, _WindowOracle
 
 from conftest import designs, linear_subset, raises_exactly, recursion_headroom
 
@@ -265,6 +265,24 @@ def test_window_oracle_rejects_masks_short_of_cover_points():
     assert len(unbounded.memo) > 1
 
 
+def test_window_oracle_keeps_no_verdict_that_one_scan_gives():
+    d = pf.validate(9, [(0, 1, 2), (3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)])
+    assert greedy_transversal(d) == (0, 3, 8)
+    oracle = _WindowOracle(d)
+    # 6 7 8 holds the cover point 8, but no block through 6 lies inside it:
+    # one scan of 6's blocks says False, and nothing is kept
+    assert not oracle.partitions(0b111000000)
+    assert oracle.memo == {0: True}
+    # the walk of all 9 points explores 3..8 (left by 0 1 2), then 6 7 8 and
+    # 4 5 8 (left by 3 4 5 and 3 6 7), and keeps each: other walks meet
+    # remainders again
+    explored = [0b111111111, 0b111111000, 0b111000000, 0b100110000]
+    assert not oracle.partitions(explored[0])
+    assert oracle.memo == {0: True, **dict.fromkeys(explored, False)}
+    oracle.by_point = None  # asked again, each is a memo hit
+    assert not any(oracle.partitions(m) for m in explored)
+
+
 def exact_cover(design, mask):
     """Whether some |mask|/3 blocks inside ``mask`` cover it, by plain
     enumeration: that many blocks of 3 points cover it only when disjoint."""
@@ -378,6 +396,16 @@ def test_check_past_the_recursion_limit_answers():
     perm = [p for r in range(3) for p in range(r, 120, 3)]
     with recursion_headroom(60):
         assert pf.check_sequencing(design, perm).violation == (40, 0)
+
+
+def test_check_of_600_blocks_keeps_few_verdicts():
+    # each (t, start) window is asked once, so the False verdict of a window
+    # that one scan rejects is never read again, and is not kept
+    design = pf.validate(1800, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(600)])
+    perm = tuple(p for r in range(3) for p in range(r, 1800, 3))
+    oracle = _WindowOracle(design)
+    assert _first_union(oracle, perm) == (600, 0)
+    assert len(oracle.memo) <= 240_001 // 2
 
 
 def test_a_spanning_class_of_600_blocks_is_proven_in_one_node():
