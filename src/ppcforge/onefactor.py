@@ -8,8 +8,9 @@ appears exactly once and every row and every column covers all ell symbols,
 i.e. forms a one-factor.  Room squares of side n exist for every odd n >= 7;
 none exist for sides 3 and 5.
 
-Squares are produced by a starter-adder construction over the cyclic group
-Z_n from a strong starter.  ``_STARTERS`` stores one for every odd n from 7
+Squares are developed over the cyclic group Z_n from a strong starter:
+row g holds {g, n} on the diagonal and each starter pair {x, y} shifted by
+g in column g + x + y.  ``_STARTERS`` stores one for every odd n from 7
 to 51 except 9: the first that the exhaustive search ``strong_starter``
 finds, which the tests re-derive from the table.  So building a square
 searches nothing and depends only on the side.  Z_9 has no strong starter,
@@ -24,9 +25,10 @@ edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
 the rule.  For 8 <= ell <= 52 the rows of a Room square of side ell-1 with
 a filled first-column cell supply both the factors and the representatives
 (the first column is itself a one-factor, which makes the representatives
-independent).  Those rows are read straight from the stored starter, or
-the stored side-9 square: no square is developed or validated for a
-selection, and ``construct`` checks what it builds from the rows.  For
+independent).  Those are rows g = 0, with {0, n}, and g = -(x + y), with
+{-y, -x}, so they are built straight off the starter (or the stored side-9
+square): no square is developed or validated for a selection, and
+``construct`` checks what it builds from the rows.  For
 ell = 6 and past 52, where no strong starter is stored, a perfect matching
 that meets every factor of ``round_robin`` at most once
 (``rainbow_matching``, in closed form) supplies the representatives and
@@ -45,7 +47,7 @@ Factor = Tuple[Edge, ...]
 
 
 class RoomValidationError(ToolkitError):
-    """A grid that is not side x side; base of the four condition failures."""
+    """A bad side or a grid not side x side; base of the four condition failures."""
 
 
 class CellNotEdge(RoomValidationError):
@@ -137,6 +139,8 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     this search: ``room_square`` reads ``_STARTERS``, and the search is the
     referee that re-derives that table.
     """
+    if type(n) is not int or n < 1:
+        raise ToolkitError(f"strong starters need an int n >= 1, got n={n!r}")
     out: List[Edge] = []
     nodes = 0
 
@@ -222,27 +226,15 @@ def _stored_starter(n: int) -> List[Edge]:
     return pairs
 
 
-def _starter_row(n: int, starter: List[Edge], g: int) -> Dict[int, Edge]:
-    """Row g of the square developed from a strong starter of Z_n, as
-    {column: edge}: {g, n} on the diagonal, and each pair {x, y} shifted by
-    g in column g + x + y.  The row is the one-factor {g, n} plus the
-    starter translated by g; its first-column cell is filled exactly when
-    g = 0 or g = -(x + y) for a pair, the cell then being {0, n} or
-    {-y, -x}."""
-    row = {g: (g, n)}
-    for x, y in starter:
-        u, w = (x + g) % n, (y + g) % n
-        row[(g + x + y) % n] = (u, w) if u < w else (w, u)
-    return row
-
-
 def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
-    """Develop a strong starter through Z_n, row by row."""
+    """Develop a strong starter through Z_n, writing each row in place."""
     rows = []
     for g in range(n):
         row: List[Optional[Edge]] = [None] * n
-        for c, edge in _starter_row(n, starter, g).items():
-            row[c] = edge
+        row[g] = (g, n)
+        for x, y in starter:
+            u, w = (x + g) % n, (y + g) % n
+            row[(g + x + y) % n] = (u, w) if u < w else (w, u)
         rows.append(tuple(row))
     return RoomSquare(n, tuple(rows))
 
@@ -265,7 +257,7 @@ _SIDE9_CELLS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 must not find the square of 7
 def room_square(side: int) -> RoomSquare:
     """Build a Room square of the given side.
 
@@ -274,8 +266,8 @@ def room_square(side: int) -> RoomSquare:
     square, the other sides up to 51 develop the stored strong starter of
     Z_side, and every larger side raises ``ToolkitError``.
     """
-    if side % 2 == 0 or side < 7:
-        raise ToolkitError(f"Room squares need an odd side >= 7, got {side}")
+    if type(side) is not int or side % 2 == 0 or side < 7:
+        raise ToolkitError(f"Room squares need an odd side >= 7, got {side!r}")
     if side == 9:
         grid = tuple(tuple(_SIDE9_CELLS.get((r, c)) for c in range(9)) for r in range(9))
         square = RoomSquare(9, grid)
@@ -291,15 +283,17 @@ def room_square(side: int) -> RoomSquare:
 
 
 def validate_room(square: RoomSquare) -> None:
-    """Check that the grid is side x side (``RoomValidationError`` itself
-    if not), then the four Room square conditions in order: cells hold
-    edges, every edge of K_{side+1} appears exactly once, rows are
-    one-factors, columns are one-factors.  Raises the error for the first
-    violation.  One pass over the cells checks each edge and ORs its symbol
-    bits into masks for its row and column: as every edge has a < b, a line
-    covers 0..side exactly once when its mask is full and it holds
-    (side+1)/2 cells."""
+    """Check that the side is an odd int >= 1 and the grid side x side
+    (``RoomValidationError`` itself if not), then the four Room square
+    conditions in order: cells hold edges, every edge of K_{side+1} appears
+    exactly once, rows and then columns are one-factors.  Raises the error
+    for the first violation.  One pass over the cells checks each edge and
+    ORs its symbol bits into masks for its row and column: as every edge has
+    a < b, a line covers 0..side exactly once when its mask is full and it
+    holds (side+1)/2 cells."""
     n = square.side
+    if type(n) is not int or n < 1 or n % 2 == 0:  # type(): bool subclasses int
+        raise RoomValidationError(f"side must be an odd int >= 1, got {n!r}")
     if len(square.grid) != n or any(len(row) != n for row in square.grid):
         raise RoomValidationError(f"grid is not {n} x {n} cells")
     sym = n + 1
@@ -388,12 +382,11 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
 
     * ell <= 4: the first round-robin factor and its first edge;
     * 8 <= ell <= ROOM_MAX_ORDER: the first rho rows, in row order, of the
-      Room square of side ell-1 whose first-column cell is filled, that
-      cell being the representative.  The rows come straight from the
-      stored starter through ``_starter_row`` (rows g = 0 and g = -(x+y)
-      for its pairs), or from ``_SIDE9_CELLS`` for ell = 10: only those
-      rho rows are built, and the square is neither developed nor
-      validated;
+      Room square of side n = ell-1 whose first-column cell is filled,
+      that cell being the representative: rows g = 0, with {0, n}, and
+      g = -(x+y), with {-y, -x}, for each stored starter pair {x, y}.
+      Factor g is {g, n} plus each pair shifted by g, sorted; for ell = 10
+      the rows come from ``_SIDE9_CELLS``.  No square is developed;
     * ell = 6 and ell > ROOM_MAX_ORDER, where no starter is stored: the
       round-robin factors through the first rho edges of
       ``rainbow_matching``, with the points relabelled so that the
@@ -415,16 +408,23 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
         n = ell - 1
         if n == 9:
             firsts = sorted(r for r, c in _SIDE9_CELLS if c == 0)[:rho]
-            rows = [{c: e for (r, c), e in _SIDE9_CELLS.items() if r == g} for g in firsts]
+            reps = [_SIDE9_CELLS[g, 0] for g in firsts]
+            factors = [sorted(e for (r, _), e in _SIDE9_CELLS.items() if r == g) for g in firsts]
         else:
             starter = _stored_starter(n)
             # the pair sums of a strong starter are distinct and nonzero
-            firsts = sorted([0] + [-(x + y) % n for x, y in starter])[:rho]
-            rows = [_starter_row(n, starter, g) for g in firsts]
-        return FactorSelection(
-            tuple(tuple(sorted(row.values())) for row in rows),
-            tuple(row[0] for row in rows),
-        )
+            first_cells = {-(x + y) % n: (n - y, n - x) for x, y in starter}
+            first_cells[0] = (0, n)
+            firsts = sorted(first_cells)[:rho]
+            reps = [first_cells[g] for g in firsts]
+            factors = []
+            for g in firsts:
+                row = [(g, n)]
+                for x, y in starter:
+                    u, w = (x + g) % n, (y + g) % n
+                    row.append((u, w) if u < w else (w, u))
+                factors.append(sorted(row))
+        return FactorSelection(tuple(map(tuple, factors)), tuple(reps))
     matching = rainbow_matching(ell)
     label = [0] * ell
     for j, ((a, b), _) in enumerate(matching):

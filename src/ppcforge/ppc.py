@@ -276,27 +276,28 @@ def extension_profile(
     class block {x, y, z} with t_x >= 3 and t_y >= 1 can be traded away:
     pick a block through y into the uncovered part, then one of the >= 3
     disjoint uncovered pairs at x avoids it, giving two disjoint
-    replacements for one removed block.
+    replacements for one removed block.  Three lookups in a list marking
+    the class points classify each block; t is counted in a list too.
     """
     if isinstance(ppc, PpcResult):
         if not ppc.optimal:
             raise ToolkitError("profile needs a proven-maximum class")
         ppc = ppc.witness
-    covered = class_points(design, ppc)
-    mask = sum(1 << p for p in covered)
-    t: Dict[int, int] = {p: 0 for p in sorted(covered)}
+    points = tuple(sorted(class_points(design, ppc)))
+    marked, hang = [0] * design.v, [0] * design.v
+    for p in points:
+        marked[p] = 1
     for a, b, c in design.blocks:
-        inside = (mask >> a & 1) + (mask >> b & 1) + (mask >> c & 1)
+        inside = marked[a] + marked[b] + marked[c]
         if inside == 1:
-            t[a if mask >> a & 1 else b if mask >> b & 1 else c] += 1
+            hang[a if marked[a] else b if marked[b] else c] += 1
         elif not inside:
             raise NotMaximum(
                 f"block ({a},{b},{c}) is disjoint from the class; "
                 f"size {len(ppc)} is not maximum"
             )
-
-    x0 = tuple(p for p in sorted(covered) if t[p] > 0)
-    x0set = set(x0)
+    t: Dict[int, int] = {p: hang[p] for p in points}
+    x0 = tuple(p for p in points if hang[p])
 
     v = design.v
     rho = len(ppc)
@@ -311,8 +312,7 @@ def extension_profile(
                 f"high-t points; size {rho} is not maximum"
             )
         ssum = sum(counts)
-        meets = sum(1 for p in key if p in x0set)
-        if meets >= 2:  # so counts[1] >= 1, and the swap check left each t <= 2
+        if counts[1]:  # two points of key in x0; the swap check left each t <= 2
             tags.append((key, 1))
         else:
             tags.append((key, 2))
@@ -327,7 +327,7 @@ def extension_profile(
     return ExtensionProfile(
         size=rho,
         t=t,
-        p=tuple(sorted(covered)),
+        p=points,
         x0=x0,
         block_conditions=tuple(tags),
         condition2_tight=tuple(tight),

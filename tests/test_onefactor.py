@@ -56,6 +56,14 @@ def test_no_strong_starter_of_order_9():
     assert strong_starter(9) is None
 
 
+def test_strong_starter_needs_an_int_order_of_at_least_1():
+    for n in (0, -3, 7.0, "7", True):
+        with raises_exactly(f"strong starters need an int n >= 1, got n={n!r}"):
+            strong_starter(n)
+    # an order with no strong starter is an answer, not an error
+    assert strong_starter(3) is None and strong_starter(5) is None
+
+
 def test_stored_starters_are_what_the_search_finds():
     # every odd side below ROOM_MAX_ORDER is side 9 or has a stored starter;
     # side 51 is left out here, its search takes 1.6M nodes
@@ -161,9 +169,24 @@ def test_bad_sides():
     for side in (3, 5, 8, 1):
         with raises_exactly(f"Room squares need an odd side >= 7, got {side}"):
             room_square(side)
+    room_square(7)  # cached, and 7.0 == 7 with the same hash
+    for side in (7.0, "7", True):
+        with raises_exactly(f"Room squares need an odd side >= 7, got {side!r}"):
+            room_square(side)
     with raises_exactly("ppcforge builds Room squares of odd sides 7 to 51 only "
                         "(one exists for every odd side >= 7), got 53"):
         room_square(53)
+
+
+def test_validate_room_needs_an_odd_int_side():
+    # checked before the shape: a 0 x 0 grid is no Room square, and a side
+    # that is no int fails with the class, not a TypeError
+    square7 = room_square(7).grid
+    for side, grid in ((0, ()), (-1, ()), (2, ((None, None),) * 2), (True, (((0, 1),),)),
+                       (7.0, square7), ("7", square7)):
+        with raises_exactly(f"side must be an odd int >= 1, got {side!r}", RoomValidationError):
+            pf.validate_room(RoomSquare(side, grid))
+    pf.validate_room(RoomSquare(1, (((0, 1),),)))  # the one edge of K_2
 
 
 def test_validate_room_checks_the_shape_first():
