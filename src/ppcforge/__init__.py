@@ -10,7 +10,6 @@ from .bounds import (
     beta_lower,
     beta_upper,
     bound_table,
-    f_threshold,
     gap_bound,
     packing_number,
 )

@@ -100,16 +100,6 @@ def gap_bound(rho: int) -> Fraction:
     return Fraction(10 * rho * rho - 8 * rho + 1, 3)
 
 
-def f_threshold(rho: int, v: int) -> Tuple[Fraction, bool]:
-    """f = rho*(6*rho + v - 7)/2 and whether the counting bound is useful.
-
-    The counting bound beats the trivial one only when rho < (v+3)/6; at
-    rho = (v+3)/6 already f >= (v^2 - v)/6.
-    """
-    f = Fraction(rho * (6 * rho + v - 7), 2)
-    return f, 6 * rho < v + 3
-
-
 class BoundRecord(NamedTuple):
     """One table row; ``sources`` says which fields came from the generic
     formulas and which from a known exact value."""

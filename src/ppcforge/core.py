@@ -4,10 +4,11 @@ A partial Steiner triple system PSTS(v) is a set of 3-element blocks drawn
 from a point set of size v such that every pair of points lies in at most one
 block.  When every pair lies in exactly one block the system is a full
 STS(v).  This module holds the value type, structural validation, a
-plain-text interchange format, and what every search shares: the node
-limit ``NODE_LIMIT`` and the errors ``Exhausted`` and ``SearchTooDeep``.
-Each search counts its nodes in a local and raises ``Exhausted`` on the
-first node past its limit.
+plain-text interchange format, ``read_text`` (the header and comment layout
+of every text format), and what every search shares: the node limit
+``NODE_LIMIT`` and the errors ``Exhausted`` and ``SearchTooDeep``.  Each
+search counts its nodes in a local and raises ``Exhausted`` on the first
+node past its limit.
 
 Every failure the package reports is a ``ToolkitError``.  A failure has a
 subclass of its own only where some caller tells it apart; every other
@@ -21,7 +22,7 @@ is safe to share across threads and to use as a cache key.
 
 import json
 import sys
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 Block = Tuple[int, int, int]
 
@@ -188,20 +189,9 @@ def deserialize(text: str) -> Design:
             if not all(type(p) is int for p in blk):
                 raise ParseError(f"JSON design: non-integer point in {blk!r}")
         return validate(v, blocks)
-    v = None
+    v, records = read_text(text, "v")
     blocks = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if v is None:
-            if not line.startswith("v="):
-                raise ParseError(f"line {lineno}: expected 'v=<int>' header")
-            try:
-                v = int(line[2:])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad header {line!r}") from exc
-            continue
+    for lineno, line in records:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 points, got {line!r}")
@@ -209,9 +199,28 @@ def deserialize(text: str) -> Design:
             blocks.append(tuple(map(int, parts)))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-integer point in {line!r}") from exc
-    if v is None:
-        raise ParseError("missing 'v=<int>' header")
     return validate(v, blocks)
+
+
+def read_text(text: str, key: str) -> Tuple[int, List[Tuple[int, str]]]:
+    """The layout of designs, Room squares and sequencings: the first line
+    neither blank nor a ``#`` comment is a ``key=<int>`` header, and blank
+    and comment lines are skipped anywhere.  Returns the header's int and
+    the other lines, stripped, with their line numbers counted from 1."""
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if line and line[0] != "#":
+            break
+    else:
+        raise ParseError(f"missing '{key}=<int>' header")
+    if not line.startswith(key + "="):
+        raise ParseError(f"line {lineno}: expected '{key}=<int>' header")
+    try:
+        head = int(line[len(key) + 1:])
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bad header {line!r}") from exc
+    return head, [(n, ln) for n, raw in numbered if (ln := raw.strip()) and ln[0] != "#"]
 
 
 def read_ppc_comments(text: str) -> Tuple[Block, ...]:

@@ -40,7 +40,7 @@ edges of K_4 share a one-factor.
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import NODE_LIMIT, Exhausted, ParseError, ToolkitError
+from .core import NODE_LIMIT, Exhausted, ParseError, SearchTooDeep, ToolkitError, read_text
 
 Edge = Tuple[int, int]
 Factor = Tuple[Edge, ...]
@@ -135,7 +135,8 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     serve as the adder).  Deterministic order: the smallest unused element is
     paired with candidate partners in descending order.  Returns None only
     when the whole space was searched (as happens for n = 9); raises
-    ``Exhausted`` past ``budget`` nodes.  No square is built from
+    ``Exhausted`` past ``budget`` nodes and ``SearchTooDeep`` past the
+    recursion limit (one frame per pair).  No square is built from
     this search: ``room_square`` reads ``_STARTERS``, and the search is the
     referee that re-derives that table.
     """
@@ -172,7 +173,10 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
         return False
 
     rest = (1 << n) - 2  # 1..n-1
-    return list(out) if rec(rest, rest, rest) else None
+    try:
+        return list(out) if rec(rest, rest, rest) else None
+    except RecursionError:
+        raise SearchTooDeep(f"strong starter search for Z_{n}", n) from None
 
 
 # Strong starters of Z_n, n odd from 7 to 51 except 9, as ``strong_starter``
@@ -215,18 +219,19 @@ _STARTERS = {
 ROOM_MAX_ORDER = max(_STARTERS) + 1
 
 
-def _stored_starter(n: int) -> List[Edge]:
-    """Decode ``_STARTERS[n]`` into its pairs."""
+@lru_cache(maxsize=None)
+def _stored_starter(n: int) -> Tuple[Edge, ...]:
+    """Decode ``_STARTERS[n]`` into its pairs, once: a tuple, as it is cached."""
     free = (1 << n) - 2  # 1..n-1
     pairs = []
     for y in _STARTERS[n]:
         xbit = free & -free
         pairs.append((xbit.bit_length() - 1, y))
         free ^= xbit | 1 << y
-    return pairs
+    return tuple(pairs)
 
 
-def _square_from_starter(n: int, starter: List[Edge]) -> RoomSquare:
+def _square_from_starter(n: int, starter: Tuple[Edge, ...]) -> RoomSquare:
     """Develop a strong starter through Z_n, writing each row in place."""
     rows = []
     for g in range(n):
@@ -345,30 +350,25 @@ def room_to_text(square: RoomSquare) -> str:
 
 
 def room_from_text(text: str) -> RoomSquare:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("side="):
-        raise ParseError("expected 'side=<n>' header")
-    try:
-        side = int(lines[0][5:])
-    except ValueError as exc:
-        raise ParseError(f"bad side header {lines[0]!r}") from exc
+    """Read what ``room_to_text`` writes, in the layout of ``read_text``."""
+    side, records = read_text(text, "side")
+    if len(records) != side:
+        raise ParseError(f"expected {side} rows, got {len(records)}")
     rows = []
-    if len(lines) - 1 != side:
-        raise ParseError(f"expected {side} rows, got {len(lines) - 1}")
-    for ln in lines[1:]:
-        cells = []
-        parts = ln.split()
+    for lineno, line in records:
+        parts = line.split()
         if len(parts) != side:
-            raise ParseError(f"row {ln!r} does not have {side} cells")
+            raise ParseError(f"line {lineno}: expected {side} cells, got {line!r}")
+        cells = []
         for tok in parts:
             if tok == ".":
                 cells.append(None)
-            else:
-                try:
-                    a, b = (int(x) for x in tok.split("-"))
-                except ValueError as exc:
-                    raise ParseError(f"bad cell {tok!r}") from exc
-                cells.append((min(a, b), max(a, b)))
+                continue
+            try:  # a cell of other than two parts fails to unpack, as 1-2-3
+                a, b = map(int, tok.split("-"))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad cell {tok!r}") from exc
+            cells.append((a, b) if a < b else (b, a))
         rows.append(tuple(cells))
     return RoomSquare(side, tuple(rows))
 

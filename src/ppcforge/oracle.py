@@ -33,10 +33,10 @@ def _max_ppc_masks(masks: List[int]) -> int:
     return best
 
 
-def brute_max_ppc(design: Design, cap: int = 25) -> int:
-    """Maximum PPC size by enumerating every set of disjoint blocks."""
-    if design.b > cap:
-        raise ToolkitError(f"{design.b} blocks exceeds the oracle cap of {cap}")
+def brute_max_ppc(design: Design) -> int:
+    """Maximum PPC size by enumerating every set of disjoint blocks, of 25 at most."""
+    if design.b > 25:
+        raise ToolkitError(f"{design.b} blocks exceeds the oracle cap of 25")
     return _max_ppc_masks([(1 << x) | (1 << y) | (1 << z) for x, y, z in design.blocks])
 
 

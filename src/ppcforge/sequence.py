@@ -28,7 +28,8 @@ known PPC-based guarantees under which a sequencing must exist.
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import NODE_LIMIT, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError
+from .core import (NODE_LIMIT, Design, Exhausted, ParseError, SearchTooDeep, ToolkitError,
+                   read_text)
 from .ppc import greedy_transversal
 
 
@@ -284,12 +285,12 @@ def sequencing_to_text(v: int, perm: Sequence[int]) -> str:
 
 
 def sequencing_from_text(text: str) -> Tuple[int, Tuple[int, ...]]:
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("v="):
-        raise ParseError("expected 'v=<int>' header")
-    try:
-        v = int(lines[0][2:])
-        perm = tuple(int(tok) for ln in lines[1:] for tok in ln.split())
-    except ValueError as exc:
-        raise ParseError(f"bad sequencing file: {exc}") from exc
-    return v, perm
+    """Read what ``sequencing_to_text`` writes; the entries may span lines."""
+    v, records = read_text(text, "v")
+    perm: List[int] = []
+    for lineno, line in records:
+        try:
+            perm.extend(map(int, line.split()))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: non-integer entry in {line!r}") from exc
+    return v, tuple(perm)

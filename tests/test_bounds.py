@@ -91,15 +91,6 @@ def test_gap_bound_values():
     assert pf.gap_bound(3) == Fraction(67, 3)
 
 
-def test_f_threshold():
-    f, useful = pf.f_threshold(5, 27)
-    assert f == 125 and not useful
-    f, useful = pf.f_threshold(1, 27)
-    assert f == 13 and useful
-    f, useful = pf.f_threshold(0, 27)
-    assert f == 0 and useful
-
-
 def test_bound_table_reproduces_table1():
     rows = bound_table(27, 9, with_known=True)
     assert [(r.rho, r.d_rho, r.lower, r.upper) for r in rows] == [

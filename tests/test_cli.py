@@ -237,6 +237,12 @@ def test_table1_is_the_bounds_shorthand(capsys):
     assert len(rows1.splitlines()) == 9
 
 
+def test_bounds_rows_tag_a_known_value_that_beats_both_bounds(capsys):
+    rc, stdout, _ = run(capsys, "bounds", "--v", "7", "--with-known", "--format", "rows")
+    assert rc == 0
+    assert stdout.splitlines()[1] == "2,0,5,5,5,lower=known-special;upper=known-special"
+
+
 def test_bounds_text_format(capsys):
     rc, stdout, _ = run(capsys, "bounds", "--v", "27", "--rho-max", "3")
     assert rc == 0
@@ -280,6 +286,15 @@ def test_sequence_check_skips_indented_comment_lines(tmp_path, capsys):
     ppath.write_text("v=4\n  # 0 1 2 would repeat the block\n0 1 3 2\n")
     rc, stdout, _ = run(capsys, "sequence", "check", dpath, str(ppath))
     assert rc == 0 and stdout == "valid sequencing\n"
+
+
+def test_sequence_check_names_the_line_of_a_bad_entry(tmp_path, capsys):
+    dpath = write_design(tmp_path, pf.factor_join_packed(3, 8).design)
+    ppath = tmp_path / "perm.txt"
+    ppath.write_text("v=11\n0 1 x\n")
+    rc, stdout, stderr = run(capsys, "sequence", "check", dpath, str(ppath))
+    assert rc == 1 and stdout == ""
+    assert stderr == "error: line 2: non-integer entry in '0 1 x'\n"
 
 
 def test_sequence_check_v_mismatch(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ppcforge as pf
 from ppcforge.core import read_ppc_comments
 
-from conftest import designs, fano_union, linear_subset
+from conftest import designs, fano_union, linear_subset, raises_exactly
 
 
 def test_valid_psts7(psts7):
@@ -150,6 +150,37 @@ def test_parse_errors_name_their_line():
     with pytest.raises(pf.ParseError) as err:
         pf.deserialize("# a design\n\nv=7\n# ppc: 0 1 2\n\n0 1 x\n")
     assert str(err.value) == "line 6: non-integer point in '0 1 x'"
+
+
+# the three readers share one header and comment layout (core.read_text),
+# so each meets the same four header faults; then their own record rules
+_READERS = {"v": (pf.deserialize, pf.sequencing_from_text), "side": (pf.room_from_text,)}
+_ROOM7 = pf.room_to_text(pf.room_square(7)).splitlines()
+_SHORT_ROW = _ROOM7[1].rsplit(" ", 1)[0]
+
+
+def _room7(row2):
+    return "\n".join([_ROOM7[0], row2, *_ROOM7[2:]]) + "\n"
+
+
+@pytest.mark.parametrize("reader,text,message", [
+    *((reader, text, message.format(key=key))
+      for key, readers in _READERS.items() for reader in readers
+      for text, message in (
+          ("\n# no header\n", "missing '{key}=<int>' header"),
+          ("w=7\n", "line 1: expected '{key}=<int>' header"),
+          (f"{key}=seven\n", f"line 1: bad header '{key}=seven'"),
+          ("# comment\n\n  0 1 2\n", "line 3: expected '{key}=<int>' header"),
+      )),
+    (pf.room_from_text, "\n".join(_ROOM7[:-1]) + "\n", "expected 7 rows, got 6"),
+    (pf.room_from_text, _room7(_SHORT_ROW), f"line 2: expected 7 cells, got {_SHORT_ROW!r}"),
+    (pf.room_from_text, _room7(". " * 6 + "a-b"), "line 2: bad cell 'a-b'"),
+    (pf.room_from_text, _room7(". " * 6 + "1-2-3"), "line 2: bad cell '1-2-3'"),
+    (pf.sequencing_from_text, "v=3\n0 1\n# c\n2 x\n", "line 4: non-integer entry in '2 x'"),
+])
+def test_malformed_text_names_its_fault(reader, text, message):
+    with raises_exactly(message, pf.ParseError):
+        reader(text)
 
 
 @given(designs())

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 import time
 from collections import Counter
 from itertools import combinations, count
@@ -25,7 +26,7 @@ from ppcforge.onefactor import (
     _stored_starter,
 )
 
-from conftest import raises_exactly
+from conftest import raises_exactly, recursion_headroom
 
 
 def all_edges(ell):
@@ -64,6 +65,18 @@ def test_strong_starter_needs_an_int_order_of_at_least_1():
     assert strong_starter(3) is None and strong_starter(5) is None
 
 
+def test_a_too_deep_starter_search_is_search_too_deep():
+    # the search nests one frame per pair; past the recursion limit it
+    # raises the error every search shares, not a bare RecursionError
+    with recursion_headroom(60):
+        limit = sys.getrecursionlimit()
+        with raises_exactly(
+            f"strong starter search for Z_201 on 201 points nests deeper than "
+            f"the recursion limit of {limit}", pf.SearchTooDeep
+        ):
+            strong_starter(201, budget=100_000)
+
+
 def test_stored_starters_are_what_the_search_finds():
     # every odd side below ROOM_MAX_ORDER is side 9 or has a stored starter;
     # side 51 is left out here, its search takes 1.6M nodes
@@ -71,7 +84,7 @@ def test_stored_starters_are_what_the_search_finds():
     for side in _STARTERS:
         assert len(_STARTERS[side]) == (side - 1) // 2, side
         if side <= 49:
-            assert strong_starter(side) == _stored_starter(side), side
+            assert strong_starter(side) == list(_stored_starter(side)), side
 
 
 def test_room_square_does_not_search(monkeypatch):
@@ -352,8 +365,9 @@ def test_empty_grid_misses_edges():
 
 
 def test_room_text_round_trip():
-    sq = room_square(9)
-    assert room_from_text(room_to_text(sq)).grid == sq.grid
+    for side in range(7, ROOM_MAX_ORDER, 2):
+        sq = room_square(side)
+        assert room_from_text(room_to_text(sq)) == sq, side
 
 
 def test_select_factors_ell6_matches_the_fixed_choice():

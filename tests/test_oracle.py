@@ -16,8 +16,9 @@ def test_ppc_oracle_small_designs(psts7, bose9):
 def test_ppc_oracle_refuses_large_inputs(example11):
     padded = pf.Design(60, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(20)))
     assert brute_max_ppc(padded) == 20
-    with raises_exactly("20 blocks exceeds the oracle cap of 19"):
-        brute_max_ppc(padded, cap=19)
+    too_many = pf.Design(78, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(26)))
+    with raises_exactly("26 blocks exceeds the oracle cap of 25"):
+        brute_max_ppc(too_many)
     assert brute_max_ppc(example11.design) == 3
 
 
