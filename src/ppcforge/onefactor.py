@@ -17,7 +17,9 @@ searches nothing and depends only on the side.  Z_9 has no strong starter,
 and side 9 is a stored square.  Room squares of every other odd side
 exist, but none is built here: the search finds no starter for any side
 from 53 to 129 within 2,000,000 nodes.  ``validate_room`` checks every
-built square in one pass over its cells, each line by a mask of symbols.
+built square in one pass over its cells: edges are marked in a flat array
+of edge codes, each line is checked by its mask of symbols, and cells are
+counted only to name a failing line.
 
 ``select_factors`` extracts, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
@@ -38,7 +40,7 @@ edges of K_4 share a one-factor.
 """
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .core import NODE_LIMIT, Exhausted, ParseError, SearchTooDeep, ToolkitError, read_text
 
@@ -292,60 +294,68 @@ def validate_room(square: RoomSquare) -> None:
     (``RoomValidationError`` itself if not), then the four Room square
     conditions in order: cells hold edges, every edge of K_{side+1} appears
     exactly once, rows and then columns are one-factors.  Raises the error
-    for the first violation.  One pass over the cells checks each edge and
-    ORs its symbol bits into masks for its row and column: as every edge has
-    a < b, a line covers 0..side exactly once when its mask is full and it
-    holds (side+1)/2 cells."""
+    for the first violation.  One pass over the cells marks each edge {a, b}
+    at code a*(side+1)+b in a flat byte array and ORs its symbol bits into
+    masks for its row and column.  Once every edge appears once, the side
+    rows hold side*(side+1)/2 cells, so full masks in every row leave each
+    row (side+1)/2 cells, and so for columns: a line is checked by its mask
+    alone, and cells are counted only to name the first failing line."""
     n = square.side
     if type(n) is not int or n < 1 or n % 2 == 0:  # type(): bool subclasses int
         raise RoomValidationError(f"side must be an odd int >= 1, got {n!r}")
-    if len(square.grid) != n or any(len(row) != n for row in square.grid):
+    grid = square.grid
+    try:
+        shaped = len(grid) == n and all(len(row) == n for row in grid)
+    except TypeError:  # a grid or row with no length, as None or an int
+        shaped = False
+    if not shaped:
         raise RoomValidationError(f"grid is not {n} x {n} cells")
     sym = n + 1
-    full, half = (1 << sym) - 1, sym // 2
-    seen: Dict[Edge, int] = {}  # edge -> r*n + c of its cell
-    col_masks, col_cells = [0] * n, [0] * n
-    bad_row = -1
-    for r, row in enumerate(square.grid):
-        mask = cells = 0
+    full = (1 << sym) - 1
+    seen = bytearray(n * sym)  # 1 at a*sym + b for each edge {a, b} met
+    row_masks, col_masks = [], [0] * n
+    for r, row in enumerate(grid):
+        mask = 0
         for c, cell in enumerate(row):
             if cell is None:
                 continue
-            edge = tuple(cell) if type(cell) is list else cell
-            a, b = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
+            try:  # no other cell than a tuple or list of two unpacks
+                a, b = cell if type(cell) is tuple or type(cell) is list else ()
+            except ValueError:
+                a = b = None
             if type(a) is not int or type(b) is not int or not 0 <= a < b <= n:
                 raise CellNotEdge(
                     f"cell ({r + 1},{c + 1}) holds {cell!r}, not an edge on 0..{n}"
                 )
-            if edge in seen:
-                r0, c0 = divmod(seen[edge], n)
+            code = a * sym + b
+            if seen[code]:
+                r0, c0 = next((r0, c0) for r0, row0 in enumerate(grid)
+                              for c0, cell0 in enumerate(row0)
+                              if cell0 is not None and tuple(cell0) == (a, b))
                 raise EdgeMissingOrDoubled(
                     f"edge {a}-{b} appears at cells ({r0 + 1}, {c0 + 1}) and ({r + 1},{c + 1})"
                 )
-            seen[edge] = r * n + c
+            seen[code] = 1
             bits = 1 << a | 1 << b
             mask |= bits
-            cells += 1
             col_masks[c] |= bits
-            col_cells[c] += 1
-        if bad_row < 0 and (mask != full or cells != half):
-            bad_row = r
-    if len(seen) != sym * (sym - 1) // 2:
-        raise EdgeMissingOrDoubled(
-            f"{sym * (sym - 1) // 2 - len(seen)} edges of K_{sym} never appear"
-        )
-    if bad_row >= 0:
-        raise RowNotOneFactor(f"row {bad_row + 1} does not cover 0..{n} exactly once")
-    for c in range(n):
-        if col_masks[c] != full or col_cells[c] != half:
-            raise ColNotOneFactor(f"column {c + 1} does not cover 0..{n} exactly once")
+        row_masks.append(mask)
+    missing = n * sym // 2 - seen.count(1)
+    if missing:
+        raise EdgeMissingOrDoubled(f"{missing} edges of K_{sym} never appear")
+    for masks, lines, error, kind in ((row_masks, grid, RowNotOneFactor, "row"),
+                                      (col_masks, zip(*grid), ColNotOneFactor, "column")):
+        if masks.count(full) < n:  # cells are counted only to name the first bad line
+            bad = next(i for i, (mask, line) in enumerate(zip(masks, lines))
+                       if mask != full or sum(cell is not None for cell in line) != sym // 2)
+            raise error(f"{kind} {bad + 1} does not cover 0..{n} exactly once")
 
 
 def room_to_text(square: RoomSquare) -> str:
     """Text format: ``side=<n>`` header, then rows of ``a-b`` or ``.``."""
     lines = [f"side={square.side}"]
     for row in square.grid:
-        lines.append(" ".join("." if cell is None else f"{cell[0]}-{cell[1]}" for cell in row))
+        lines.append(" ".join(["." if cell is None else "%d-%d" % cell for cell in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -203,10 +203,12 @@ def test_validate_room_needs_an_odd_int_side():
 
 
 def test_validate_room_checks_the_shape_first():
-    # an eighth column of empty cells, an eighth empty row, a row missing:
-    # each is the wrong shape, whatever its cells would fail
+    # an eighth column of empty cells, an eighth empty row, a row missing,
+    # no grid, rows that are ints: each is the wrong shape, whatever its
+    # cells would fail, and no TypeError
     grid = room_square(7).grid
-    for bad in (tuple(row + (None,) for row in grid), grid + ((None,) * 7,), grid[:-1]):
+    for bad in (tuple(row + (None,) for row in grid), grid + ((None,) * 7,), grid[:-1],
+                None, (0,) * 7):
         with raises_exactly("grid is not 7 x 7 cells", RoomValidationError):
             pf.validate_room(RoomSquare(7, bad))
 
@@ -233,7 +235,7 @@ def test_column_error_when_rows_are_intact():
 def reference_validate_room(square):
     """``validate_room`` as it was before the one-pass rewrite: the cells
     checked first, then the points of each row, then of each column, sorted
-    and compared with 0..side."""
+    and compared with 0..side.  A list cell is kept as the tuple it equals."""
     n = square.side
     sym = n + 1
     grid = square.grid
@@ -252,12 +254,13 @@ def reference_validate_room(square):
                 raise CellNotEdge(
                     f"cell ({r + 1},{c + 1}) holds {cell!r}, not an edge on 0..{n}"
                 )
-            if cell in seen:
+            edge = tuple(cell)
+            if edge in seen:
                 raise EdgeMissingOrDoubled(
                     f"edge {cell[0]}-{cell[1]} appears at cells "
-                    f"{seen[cell]} and ({r + 1},{c + 1})"
+                    f"{seen[edge]} and ({r + 1},{c + 1})"
                 )
-            seen[cell] = (r + 1, c + 1)
+            seen[edge] = (r + 1, c + 1)
     if len(seen) != sym * (sym - 1) // 2:
         raise EdgeMissingOrDoubled(
             f"{sym * (sym - 1) // 2 - len(seen)} edges of K_{sym} never appear"
@@ -318,18 +321,72 @@ def mutated_squares(square, rng):
         yield changed((p, f"{a}-"))
 
 
+def moved_cells(square, rng):
+    """Copies of ``square``, tuple cells only, with a filled cell moved into
+    an empty cell of an earlier row, or of an earlier column in its own row:
+    every edge still appears once, the line the cell joins covers every
+    symbol with a cell too many, and a later line is short."""
+    grid = square.grid
+    cells = [(r, c) for r in range(square.side) for c in range(square.side)]
+    filled = [(r, c) for r, c in cells if grid[r][c] is not None]
+
+    def moved(r, c, r2, c2):
+        rows = [list(row) for row in grid]
+        rows[r2][c2], rows[r][c] = rows[r][c], None
+        return RoomSquare(square.side, tuple(map(tuple, rows)))
+
+    for _ in range(3):
+        r, c = rng.choice([(r, c) for r, c in filled if r > 0])
+        empty = [(r2, c2) for r2, c2 in cells if r2 < r and grid[r2][c2] is None]
+        yield moved(r, c, *rng.choice(empty))
+        r, c = rng.choice([(r, c) for r, c in filled if None in grid[r][:c]])
+        yield moved(r, c, r, rng.choice([c2 for c2 in range(c) if grid[r][c2] is None]))
+
+
+def listed(square):
+    """``square`` with every tuple cell a list."""
+    return RoomSquare(square.side, tuple(
+        tuple(list(cell) if type(cell) is tuple else cell for cell in row) for row in square.grid
+    ))
+
+
 def test_one_pass_validator_matches_the_reference():
-    rng = random.Random(23)
-    outcomes = Counter()
+    # each case with tuple cells and again with list cells; the moves draw
+    # from a generator of their own and are counted apart
+    rng, move_rng = random.Random(23), random.Random(29)
+    outcomes = {tuple: Counter(), list: Counter(), "moves": Counter()}
     for side in range(7, ROOM_MAX_ORDER, 2):
         square = room_square(side)
         for case in [square, *mutated_squares(square, rng)]:
-            got = room_outcome(pf.validate_room, case)
-            assert got == room_outcome(reference_validate_room, case), (side, case.grid)
-            outcomes[got[0] if got else "valid"] += 1
-    assert outcomes["valid"] >= 80 and outcomes["CellNotEdge"] >= 400, outcomes
-    assert outcomes["EdgeMissingOrDoubled"] >= 130, outcomes
-    assert outcomes["RowNotOneFactor"] >= 90 and outcomes["ColNotOneFactor"] >= 45, outcomes
+            for kind, copy in ((tuple, case), (list, listed(case))):
+                got = room_outcome(pf.validate_room, copy)
+                assert got == room_outcome(reference_validate_room, copy), (side, copy.grid)
+                outcomes[kind][got[0] if got else "valid"] += 1
+        for case in moved_cells(square, move_rng):
+            for copy in (case, listed(case)):
+                got = room_outcome(pf.validate_room, copy)
+                assert got == room_outcome(reference_validate_room, copy), (side, copy.grid)
+                outcomes["moves"][got[0]] += 1
+    assert outcomes.pop("moves") == {"RowNotOneFactor": 138, "ColNotOneFactor": 138}
+    for counted in outcomes.values():
+        assert counted["valid"] >= 80 and counted["CellNotEdge"] >= 400, counted
+        assert counted["EdgeMissingOrDoubled"] >= 130, counted
+        assert counted["RowNotOneFactor"] >= 90 and counted["ColNotOneFactor"] >= 45, counted
+
+
+def test_a_line_with_a_cell_too_many_is_named_before_a_short_one():
+    # a filled cell moved into an empty cell of an earlier line: every edge
+    # still appears once, the earlier line covers every symbol with one cell
+    # too many, and a later line is short; the earlier line is named
+    for (r, c), (r2, c2), message, error in (
+        ((6, 2), (0, 1), "row 1", RowNotOneFactor),
+        ((0, 3), (0, 1), "column 2", ColNotOneFactor),
+    ):
+        grid = [list(row) for row in room_square(7).grid]
+        assert grid[r2][c2] is None
+        grid[r2][c2], grid[r][c] = grid[r][c], None
+        with raises_exactly(f"{message} does not cover 0..7 exactly once", error):
+            pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
 
 
 @pytest.mark.parametrize("cell", [(False, True), (False, 1), (0, True)])
