@@ -19,7 +19,7 @@ silently substitute the smaller quoted constant.
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .core import ToolkitError
 
@@ -101,8 +101,8 @@ def gap_bound(rho: int) -> Fraction:
 
 
 class BoundRecord(NamedTuple):
-    """One table row; ``sources`` says which fields came from the generic
-    formulas and which from a known exact value."""
+    """One table row; ``exact`` is set only when the known exact values were
+    overlaid, and then both bound fields hold it."""
 
     rho: int
     v: int
@@ -110,10 +110,6 @@ class BoundRecord(NamedTuple):
     lower: int
     upper: int
     exact: Optional[int] = None
-    sources: Tuple[Tuple[str, str], ...] = ()
-
-    def source_of(self, fieldname: str) -> str:
-        return dict(self.sources).get(fieldname, "generic-theorem")
 
 
 def bound_table(
@@ -122,46 +118,34 @@ def bound_table(
     """Rows (rho = 1..rho_max) of D(rho), lower, upper for the given v.
 
     With ``with_known`` the known exact values overwrite both bound fields
-    (an exact value is simultaneously the best lower and upper bound), and
-    those fields are tagged ``known-special``.
+    (an exact value is simultaneously the best lower and upper bound).
     """
     top = v // 3
     rho_max = top if rho_max is None else min(rho_max, top)
     rows = []
     for rho in range(1, rho_max + 1):
-        lower = beta_lower(rho, v)
-        upper = beta_upper(rho, v)
-        exact = beta_exact_known(rho, v)
-        sources: Dict[str, str] = {"lower": "generic-theorem", "upper": "generic-theorem"}
-        if with_known and exact is not None:
-            if exact != lower:
-                sources["lower"] = "known-special"
-            if exact != upper:
-                sources["upper"] = "known-special"
-            lower = upper = exact
-        rows.append(
-            BoundRecord(
-                rho=rho,
-                v=v,
-                d_rho=packing_number(rho),
-                lower=lower,
-                upper=upper,
-                exact=exact if with_known else None,
-                sources=tuple(sorted(sources.items())),
-            )
-        )
+        exact = beta_exact_known(rho, v) if with_known else None
+        lower = beta_lower(rho, v) if exact is None else exact
+        upper = beta_upper(rho, v) if exact is None else exact
+        rows.append(BoundRecord(rho, v, packing_number(rho), lower, upper, exact))
     return rows
 
 
 def format_table(rows: List[BoundRecord], style: str = "text") -> str:
     """Render rows: ``text`` is an aligned human table, ``rows`` is one
-    comma-separated record per line (rho,D,lower,upper,exact?,sources)."""
+    comma-separated record per line (rho,D,lower,upper,exact?,sources).  A
+    bound field is tagged ``known-special`` where the exact value differs
+    from the formula, and ``generic-theorem`` otherwise."""
     if style == "rows":
         lines = []
         for r in rows:
             exact = "" if r.exact is None else str(r.exact)
-            src = f"lower={r.source_of('lower')};upper={r.source_of('upper')}"
-            lines.append(f"{r.rho},{r.d_rho},{r.lower},{r.upper},{exact},{src}")
+            lo, up = (
+                "generic-theorem" if r.exact is None or r.exact == bound(r.rho, r.v)
+                else "known-special"
+                for bound in (beta_lower, beta_upper)
+            )
+            lines.append(f"{r.rho},{r.d_rho},{r.lower},{r.upper},{exact},lower={lo};upper={up}")
         return "\n".join(lines) + "\n"
     if style != "text":
         raise ToolkitError(f"unknown table style {style!r}")

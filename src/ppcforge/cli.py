@@ -21,7 +21,7 @@ the parser on its first call and reuses it.
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
@@ -42,12 +42,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> TextIO:
+    """Write ``text`` to the file ``out``, or else to stdout; return the
+    stream for the command's note: stdout, unless the text went there."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return sys.stdout
+    sys.stdout.write(text)
+    return sys.stderr
 
 
 def _load_design(path: str) -> Design:
@@ -69,18 +72,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # the apex points meet every block and the witness blocks are disjoint:
     # an O(b) proof of the maximum, so nothing is searched
     size = certify(witness.design, witness.witness_ppc, witness.s_points)
-    text = serialize(witness.design, ppc=witness.witness_ppc)
-    report = (
+    note = _emit(serialize(witness.design, ppc=witness.witness_ppc), args.out)
+    note.write(
         f"PSTS({witness.design.v}) with b={witness.design.b} blocks, "
         f"variant={variant}; maximum PPC = {size} verified\n"
         f"witness: {' '.join(','.join(map(str, blk)) for blk in witness.witness_ppc)}\n"
     )
-    if args.out:
-        _emit(text, args.out)
-        sys.stdout.write(report)
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(report)
     return 0
 
 
@@ -128,11 +125,8 @@ def _cmd_sequence_find(args: argparse.Namespace) -> int:
     design = _load_design(args.file)
     outcome = find_sequencing(design, budget=args.budget)
     if outcome.found:
-        text = sequencing_to_text(design.v, outcome.sequencing.perm)
-        _emit(text, args.out)
-        # stdout holds the sequencing itself unless it went to --out
-        print(f"sequencing found ({outcome.nodes} nodes)",
-              file=sys.stdout if args.out else sys.stderr)
+        note = _emit(sequencing_to_text(design.v, outcome.sequencing.perm), args.out)
+        print(f"sequencing found ({outcome.nodes} nodes)", file=note)
         return 0
     if outcome.proven_nonsequenceable:
         print("nonsequenceable: the search space was exhausted")
@@ -158,8 +152,7 @@ def _cmd_sequence_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_roomsquare(args: argparse.Namespace) -> int:
-    square = room_square(args.side)
-    _emit(room_to_text(square), args.out)
+    _emit(room_to_text(room_square(args.side)), args.out)
     if args.out:
         print(f"side-{args.side} square written")
     return 0

@@ -5,20 +5,12 @@ F_1..F_rho of K_ell together with independent representative edges e_j in
 F_j, adjoin a fresh apex point s_j to every edge of F_j, and the result is a
 PSTS(rho + ell) with rho*ell/2 blocks whose maximum partial parallel class
 has size exactly rho: the blocks holding e_1..e_rho are disjoint, and every
-block meets the apex set S, so no rho+1 disjoint blocks exist.  Variants:
-
-* ``factor_join_packed`` adds a maximum packing of triples on S itself
-  (D(rho) extra blocks, still every block meets S).
-* ``factor_join_odd`` handles odd v - rho: build the packed design on ell
-  points with ell > 2*rho, pick a point of T outside all representative
-  edges, delete it together with the rho blocks through it, and relabel.
-
-``construct_bose`` builds the classic STS(v) for v = 3 mod 6 over
-Z_n x {0,1,2}, which contains a full parallel class.  ``max_packing``
-builds the D(rho)-block packings without search, one closed form per
-residue of rho mod 6.  ``check_sts27_triples`` verifies the eight stored
-sum-zero triples over Z_5 x Z_5 that witness a PPC of size 8 inside a
-parallel-class-free STS(27).
+block meets the apex set S, so no rho+1 disjoint blocks exist.  Each
+builder in ``FACTOR_JOINS`` (pure, packed and trimmed, by the CLI's variant
+names) returns that class and S with the design, for ``ppc.certify`` to
+check in O(b).  ``construct_bose`` and ``max_packing`` build classical
+designs in closed form, and ``check_sts27_triples`` checks the stored
+witness of a PPC of size 8 in an STS(27) with no parallel class.
 """
 
 from itertools import combinations

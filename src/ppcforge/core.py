@@ -91,8 +91,8 @@ class Design(NamedTuple):
 def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
     """Check linearity and ranges; return the canonical ``Design``.
 
-    Points are ints, or decimal strings read as ints; anything else (a
-    float, a bool) raises ``ParseError`` rather than being truncated.
+    Points are ints; anything else (a decimal string, a float, a bool)
+    raises ``ParseError`` rather than being read or truncated.
     Raises ``OutOfRange``, ``RepeatedPoint``, or ``PairViolation``.  A block
     listed twice is reported as a ``PairViolation`` on its first pair, since
     a repeated block repeats pairs.  Linearity is checked on one set of
@@ -135,20 +135,16 @@ def validate(v: int, blocks: Iterable[Sequence[int]]) -> Design:
 
 def _int_points(raw: Sequence) -> Tuple[int, int, int]:
     """The sorted points of a block that is not a tuple or list of ints:
-    decimal strings are read, anything else is a ``ParseError``."""
+    another sequence of three ints, or else a ``ParseError``."""
     if not hasattr(raw, "__len__"):
         raise ParseError(f"block {raw!r} is not a sequence of points")
     if len(raw) != 3:
         raise ParseError(f"block {raw!r} does not have exactly 3 points")
     if isinstance(raw, (str, bytes, bytearray, dict)):  # not three points
         raise ParseError(f"block {raw!r} is not a sequence of points")
-    try:
-        pts = [int(p) if type(p) is str else p for p in raw]
-    except ValueError as exc:
-        raise ParseError(f"block {raw!r} has a non-integer point") from exc
-    if not all(type(p) is int for p in pts):
+    if not all(type(p) is int for p in raw):
         raise ParseError(f"block {raw!r} has a non-integer point")
-    a, b, c = sorted(pts)
+    a, b, c = sorted(raw)
     return a, b, c
 
 
@@ -170,25 +166,18 @@ def serialize(design: Design, ppc: Optional[Sequence[Block]] = None) -> str:
 
 
 def deserialize(text: str) -> Design:
-    """Parse the text format, or a JSON object with keys ``v``/``blocks``."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse the text format, or a JSON object with keys ``v``/``blocks``,
+    a list; ``validate`` judges ``v`` and every block and point of it."""
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON design: {exc}") from exc
-        if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
+        if "v" not in obj or "blocks" not in obj:  # text opening with "{" loads a dict
             raise ParseError("JSON design needs keys 'v' and 'blocks'")
-        v, blocks = obj["v"], obj["blocks"]
-        # type(), not isinstance: bool subclasses int, and JSON true is no integer
-        if type(v) is not int:
-            raise ParseError(f"JSON design: v must be an integer, got {v!r}")
-        if not isinstance(blocks, list) or not all(isinstance(blk, list) for blk in blocks):
-            raise ParseError("JSON design: 'blocks' must be a list of lists")
-        for blk in blocks:
-            if not all(type(p) is int for p in blk):
-                raise ParseError(f"JSON design: non-integer point in {blk!r}")
-        return validate(v, blocks)
+        if not isinstance(obj["blocks"], list):
+            raise ParseError("JSON design: 'blocks' must be a list")
+        return validate(obj["v"], obj["blocks"])
     v, records = read_text(text, "v")
     blocks = []
     for lineno, line in records:

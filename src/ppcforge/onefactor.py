@@ -8,35 +8,24 @@ appears exactly once and every row and every column covers all ell symbols,
 i.e. forms a one-factor.  Room squares of side n exist for every odd n >= 7;
 none exist for sides 3 and 5.
 
-Squares are developed over the cyclic group Z_n from a strong starter:
-row g holds {g, n} on the diagonal and each starter pair {x, y} shifted by
-g in column g + x + y.  ``_STARTERS`` stores one for every odd n from 7
-to 51 except 9: the first that the exhaustive search ``strong_starter``
-finds, which the tests re-derive from the table.  So building a square
-searches nothing and depends only on the side.  Z_9 has no strong starter,
-and side 9 is a stored square.  Room squares of every other odd side
-exist, but none is built here: the search finds no starter for any side
-from 53 to 129 within 2,000,000 nodes.  ``validate_room`` checks every
-built square in one pass over its cells: edges are marked in a flat array
-of edge codes, each line is checked by its mask of symbols, and cells are
-counted only to name a failing line.
+``room_square`` builds and validates every odd side from 7 to 51; it
+searches nothing, so a square depends only on its side.  Side 9 is a
+stored square, since Z_9 has no strong starter, and every other side
+develops the strong starter stored in ``_STARTERS``, the first that the
+exhaustive search ``strong_starter`` finds (the tests re-derive the
+table).  Room squares of every other odd side exist, but none is built
+here: the search finds no starter for any side from 53 to 129 within
+2,000,000 nodes.
 
-``select_factors`` extracts, for a requested count rho, pairwise
+``select_factors`` picks, for a requested count rho, pairwise
 edge-disjoint one-factors F_1..F_rho of K_ell together with representative
 edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
-the rule.  For 8 <= ell <= 52 the rows of a Room square of side ell-1 with
-a filled first-column cell supply both the factors and the representatives
-(the first column is itself a one-factor, which makes the representatives
-independent).  Those are rows g = 0, with {0, n}, and g = -(x + y), with
-{-y, -x}, so they are built straight off the starter (or the stored side-9
-square): no square is developed or validated for a selection, and
-``construct`` checks what it builds from the rows.  For
-ell = 6 and past 52, where no strong starter is stored, a perfect matching
-that meets every factor of ``round_robin`` at most once
-(``rainbow_matching``, in closed form) supplies the representatives and
-picks the factors, with the points relabelled so that the matching is
-{0,1}, {2,3}, ...  No selection exists for (ell, rho) = (4, 2): disjoint
-edges of K_4 share a one-factor.
+the rule.  For 8 <= ell <= 52 the factors are rows of a Room square of
+side ell-1 and the representatives their first-column cells, independent
+since that column is itself a one-factor.  The rows are read off the
+starter: no square is developed or validated for a selection, since
+``construct`` checks what it builds from them.  No selection exists for
+(ell, rho) = (4, 2): disjoint edges of K_4 share a one-factor.
 """
 
 from functools import lru_cache
@@ -355,7 +344,11 @@ def room_to_text(square: RoomSquare) -> str:
     """Text format: ``side=<n>`` header, then rows of ``a-b`` or ``.``."""
     lines = [f"side={square.side}"]
     for row in square.grid:
-        lines.append(" ".join(["." if cell is None else "%d-%d" % cell for cell in row]))
+        try:
+            cells = ["." if cell is None else "%d-%d" % cell for cell in row]
+        except TypeError:  # list cells, which validate_room accepts as edges too
+            cells = ["." if cell is None else "%d-%d" % tuple(cell) for cell in row]
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 

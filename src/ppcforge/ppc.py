@@ -1,22 +1,15 @@
 """Exact and heuristic solvers for the maximum partial parallel class.
 
 A partial parallel class (PPC) of a partial triple system is a set of
-pairwise vertex-disjoint blocks.  ``solve_max_ppc`` finds the exact maximum
-by depth-first search over block bitmasks; ``greedy_ppc`` supplies a fast
-incumbent and ``greedy_transversal`` an upper bound, since no PPC is larger
-than a point set meeting every block (weak duality, nu <= tau).  When the
-two meet, the maximum is proven without a search, and the transversal is
-the certificate.  The solver builds one table of the blocks through each
-point per solve and takes both its search and its transversal from it,
-and a table of the blocks each block meets only when the root does not
-close; below the root, a branch that skips a point is entered only when
-the points left free could still beat the incumbent.  ``extension_profile``
-inspects a design together with a claimed maximum PPC and reports, for
-each point the class covers, how many blocks hang off it into the
-uncovered part -- certifying either that the standard swap arguments
-cannot grow the class, or that the class was not maximum after all.
-``certify`` checks a class against a cover of the same size, the O(b)
-proof that the class is maximum without any search.
+pairwise vertex-disjoint blocks.  No PPC is larger than a point set meeting
+every block (weak duality, nu <= tau), so a class and a transversal of the
+same size prove the maximum, with the transversal as the certificate.
+``solve_max_ppc`` finds the exact maximum, or its best class when its node
+budget runs out; ``greedy_ppc`` and ``greedy_transversal`` give quick lower
+and upper bounds; ``certify`` checks a class against a cover in O(b),
+without any search.  ``extension_profile`` reports how a maximum class
+connects to the uncovered points -- certifying either that the standard
+swap arguments cannot grow the class, or that it was not maximum after all.
 """
 
 from bisect import bisect_left

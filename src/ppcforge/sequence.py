@@ -5,25 +5,13 @@ A PSTS(v) is sequenceable when some permutation of its points has no run of
 union of t blocks.  Because blocks have size 3, "union of t blocks" on 3t
 points means an exact partition into t blocks, which is what the window
 check decides.  The t blocks of such a window form a PPC, and each holds its
-own point of any transversal, so t <= nu <= tau: ``check_sequencing`` and
-the search look only at windows with t up to the size tau of one greedy
-transversal, and a window with fewer than t of its points is rejected
-before any exact-cover search.  The exact-cover test answers a memo hit or
-such a reject before it allocates anything.  Its memo keeps every True
-verdict and the False verdict of every mask it explored, but not that of
-a queried window with no block inside it through its lowest point: one
-scan of that point's blocks rejects it again.
-``find_sequencing`` searches for such a permutation by prefix backtracking,
-pruning every prefix whose tail window partitions.  Each (window, point)
-pair goes to the exact-cover test at most once per search, and two flat
-masks per window keep the verdicts: a node filters its candidates through
-them from the widest window down and stops at the first window that leaves
-none.
-It proves a design nonsequenceable in one of two ways: a spanning class
-(v = 3t and the whole point set is a union of t blocks, so the last window
-of every permutation partitions) closes it at the root, and otherwise only
-an exhausted search tree does.  ``sufficient_conditions`` evaluates the
-known PPC-based guarantees under which a sequencing must exist.
+own point of any transversal, so t <= nu <= tau: only windows with t up to
+the size tau of one greedy transversal are ever tested.
+``check_sequencing`` referees a permutation.  ``find_sequencing`` searches
+for one, and calls a design nonsequenceable only on a proof: a spanning
+class or an exhausted search tree, never a budget that ran out.
+``sufficient_conditions`` evaluates the known PPC-based guarantees under
+which a sequencing must exist.
 """
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -241,8 +229,9 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
                 return True
         return False
 
-    if v % 3 == 0 and partitions((1 << v) - 1):  # the proof's one node
-        return SearchOutcome(None, budget >= 1, 1, "spanning class" if budget >= 1 else None)
+    # a budget below 1 skips the proof and runs out at the search's first node
+    if budget >= 1 and v % 3 == 0 and partitions((1 << v) - 1):  # the proof's one node
+        return SearchOutcome(None, True, 1, "spanning class")
     try:
         found = extend((1 << v) - 1, 0)
     except Exhausted:

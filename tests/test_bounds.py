@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -100,20 +101,33 @@ def test_bound_table_reproduces_table1():
 
 def test_bound_table_without_overlay():
     row8 = bound_table(27, 9)[7]
-    assert row8.lower == 80 and row8.upper == 117
-    assert row8.exact is None
-    assert row8.source_of("lower") == "generic-theorem"
+    assert row8 == (8, 27, 8, 80, 117, None)
+    assert type(row8)._fields == ("rho", "v", "d_rho", "lower", "upper", "exact")
+    assert format_table([row8], "rows") == (
+        "8,8,80,117,,lower=generic-theorem;upper=generic-theorem\n")
 
 
 def test_overlay_tags_fields_it_changes():
     row8 = bound_table(27, 9, with_known=True)[7]
-    assert row8.source_of("lower") == "known-special"
-    assert row8.source_of("upper") == "generic-theorem"  # cap already gave 117
+    # the cap already gave 117, so only the lower field is tagged
+    assert format_table([row8], "rows") == (
+        "8,8,117,117,117,lower=known-special;upper=generic-theorem\n")
 
 
 def test_row_format_is_stable():
     text = format_table(bound_table(27, 2, with_known=True), style="rows")
     assert text.splitlines()[0] == "1,0,13,13,13,lower=generic-theorem;upper=generic-theorem"
+
+
+def test_tables_are_byte_identical():
+    # every table for v up to 120, both overlays and both styles, as first
+    # recorded when BoundRecord still carried its tags
+    digest = hashlib.sha256()
+    for v in range(1, 121):
+        for with_known in (False, True):
+            for style in ("rows", "text"):
+                digest.update(format_table(bound_table(v, None, with_known), style).encode())
+    assert digest.hexdigest() == "94f66f67ffea53e056e83cd34646d10ec52c38fdc7d2521dad9fd42532b60191"
 
 
 def test_unknown_table_style_is_an_error():

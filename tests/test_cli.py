@@ -249,6 +249,51 @@ def test_bounds_text_format(capsys):
     assert stdout.splitlines()[0].split() == ["rho", "D(rho)", "lower", "upper"]
 
 
+# stdout, stderr, exit code and --out file of the commands that route a
+# note, with and without --out; recorded before the routing moved into _emit
+_NOTE_PINS = {
+    ("construct --rho 3 --v 11", False): "316f55e474fda74932b7bc5aadfee1c6bba4ff1d891a73b9dbd1e6df761930be",
+    ("construct --rho 3 --v 11", True): "b7c9466afbfc36de96d20048629720de90d86cdaf9b57fa4f358d010b420a915",
+    ("construct --rho 3 --v 12", False): "735f4e33a9d4f8f1f4b9f2f3901314eb3dd7b76dafca11eca80e732861f0fe3e",
+    ("construct --rho 3 --v 12", True): "1b9183c4cd6df11ce44c6ec66bd24526f4da1dbabfb9168881f9169eabb79412",
+    ("construct --rho 2 --v 10 --variant pure", False): "5ecd9a546c2ceb73307c42fee71562a267471960f8d732291f574f738069352a",
+    ("construct --rho 2 --v 10 --variant pure", True): "84ba94e09278463369c9a13ae01806d5ace140e3254a186bd956ce3884cb0335",
+    ("sequence find psts7", False): "4de472b4f7c666f5299465b624a654a4d91aefca2b44320e7d6d694ebb8df862",
+    ("sequence find psts7", True): "360407d343b4cf99a160646f5ab24e2665f02b081befa58c663623734db91254",
+    ("sequence find fano", False): "dcec62eb9811861d55e3c9197c6cdeb8d1949fa70b26cd41ca4858e7c4a11788",
+    ("sequence find fano", True): "54653cdbde017bf20ce378a136649c44cc2f05cfa38dc40322b909e28d4d1952",
+    ("sequence find spanning6", False): "9685e6682a60a0fe237ec8fe5ecbfb9126f882c03a917eb1e2000c908ad8aba6",
+    ("sequence find spanning6", True): "9685e6682a60a0fe237ec8fe5ecbfb9126f882c03a917eb1e2000c908ad8aba6",
+    ("sequence find fano --budget 3", False): "b8b11e3aa050461f5851782335a80afd701d7c42139a192b406a9359503853a7",
+    ("sequence find fano --budget 3", True): "b8b11e3aa050461f5851782335a80afd701d7c42139a192b406a9359503853a7",
+    ("roomsquare --side 7", False): "99f8fd4a2f3fd17cfdcfa777e3c99ed7f3eb3ffd3ee472a4217fbebc5fafe0be",
+    ("roomsquare --side 7", True): "f9e618fff0d5ee375c11c5144f72b07e2217226ac7350e62c7583019416fdd97",
+    ("roomsquare --side 9", False): "b9812839ebea2a063c91d3ee8e6b0b360aea2b175450435a221156c150678bf8",
+    ("roomsquare --side 9", True): "33f4970425b62444fad6649ae7ee41b07e5dd44598fae831cbf2d6dd17305900",
+    ("roomsquare --side 15", False): "0d2066a1ed049fa0c178095058441deb88138fc21be5bbbdeb01d5be2b291442",
+    ("roomsquare --side 15", True): "ab7808e6dab3434d736a5f63651f292d6c773b4dd523c9e80d899867365206a9",
+}
+_PIN_DESIGNS = {
+    "psts7": pf.serialize(pf.psts7_fixture()),
+    "fano": "v=7\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6\n",
+    "spanning6": "v=6\n0 1 2\n3 4 5\n",
+}
+
+
+@pytest.mark.parametrize("case,out", sorted(_NOTE_PINS))
+def test_routed_notes_are_byte_identical(tmp_path, capsys, case, out):
+    for name, text in _PIN_DESIGNS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _PIN_DESIGNS else a for a in case.split()]
+    path = tmp_path / "out.txt"
+    if out:
+        argv += ["--out", str(path)]
+    rc, stdout, stderr = run(capsys, *argv)
+    written = path.read_text() if path.exists() else ""
+    blob = f"{rc}\0{stdout}\0{stderr}\0{written}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == _NOTE_PINS[case, out]
+
+
 def test_sequence_find_then_check(tmp_path, capsys):
     dpath = write_design(tmp_path, pf.psts7_fixture())
     spath = tmp_path / "seq.txt"

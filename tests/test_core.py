@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppcforge as pf
+from ppcforge.cli import main
 from ppcforge.core import read_ppc_comments
 
 from conftest import designs, fano_union, linear_subset, raises_exactly
@@ -51,9 +52,10 @@ def test_repeated_point_that_sorts_last():
         pf.validate(5, [(0, 3, 4), (2, 1, 1)])
 
 
-def test_string_points_are_read_as_integers():
-    d = pf.validate(11, [("10", "2", "3"), ["0", "1", "2"]])
-    assert d.blocks == ((0, 1, 2), (2, 3, 10))
+def test_string_points_are_a_parse_error():
+    # a point is an int: a decimal string is not read, as a float is not truncated
+    with raises_exactly("block ('10', '2', '3') has a non-integer point", pf.ParseError):
+        pf.validate(11, [("10", "2", "3"), ["0", "1", "2"]])
 
 
 @pytest.mark.parametrize("block,message", [
@@ -136,6 +138,62 @@ def test_json_variant_accepted(psts7):
 def test_json_points_are_not_truncated():
     with pytest.raises(pf.ParseError, match="non-integer point"):
         pf.deserialize('{"v": 7, "blocks": [[0, 1, 2.5]]}')
+
+
+# one malformed block per row, checked through every door: the block, the
+# message validate gives, and its text line with the text reader's message
+# (None where text cannot write the case: a text point is a token, and a
+# decimal token is read as an int)
+MALFORMED_BLOCKS = [
+    ([0, 1, 2.5], "block [0, 1, 2.5] has a non-integer point",
+     ("0 1 2.5", "line 2: non-integer point in '0 1 2.5'")),
+    ([0, 1, True], "block [0, 1, True] has a non-integer point", None),
+    (["0", "1", "2"], "block ['0', '1', '2'] has a non-integer point", None),
+    ([0, 1, "x"], "block [0, 1, 'x'] has a non-integer point",
+     ("0 1 x", "line 2: non-integer point in '0 1 x'")),
+    ([0, 1], "block [0, 1] does not have exactly 3 points",
+     ("0 1", "line 2: expected 3 points, got '0 1'")),
+    ("012", "block '012' is not a sequence of points",
+     ("012", "line 2: expected 3 points, got '012'")),
+    (None, "block None is not a sequence of points", None),
+]
+
+
+@pytest.mark.parametrize("block,message,text", MALFORMED_BLOCKS)
+def test_a_malformed_block_fails_alike_through_every_door(tmp_path, capsys, block, message,
+                                                          text):
+    with raises_exactly(message, pf.ParseError):
+        pf.validate(7, [block])
+    doc = json.dumps({"v": 7, "blocks": [block]})
+    with raises_exactly(message, pf.ParseError):
+        pf.deserialize(doc)
+    if text is not None:
+        line, text_message = text
+        with raises_exactly(text_message, pf.ParseError):
+            pf.deserialize(f"v=7\n{line}\n")
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (f"invalid: {message}\n", "")
+
+
+@pytest.mark.parametrize("v", [True, 7.0, "7", 0, None])
+def test_json_v_is_judged_by_validate(v):
+    with raises_exactly(f"point count must be a positive integer, got {v!r}", pf.OutOfRange):
+        pf.validate(v, [])
+    with raises_exactly(f"point count must be a positive integer, got {v!r}", pf.OutOfRange):
+        pf.deserialize(json.dumps({"v": v, "blocks": []}))
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"v": 7, "blocks": 5}', "JSON design: 'blocks' must be a list"),
+    ('{"v": 7, "blocks": "012"}', "JSON design: 'blocks' must be a list"),
+    ('{"v": 7}', "JSON design needs keys 'v' and 'blocks'"),
+    ('{"blocks": []}', "JSON design needs keys 'v' and 'blocks'"),
+])
+def test_json_reader_checks_only_what_json_breaks(doc, message):
+    with raises_exactly(message, pf.ParseError):
+        pf.deserialize(doc)
 
 
 def test_header_required():
@@ -242,21 +300,16 @@ def reference_validate(v, blocks):
 def reference_int_points(raw):
     if len(raw) != 3:
         raise pf.ParseError(f"block {raw!r} does not have exactly 3 points")
-    try:
-        pts = [int(p) if type(p) is str else p for p in raw]
-    except ValueError as exc:
-        raise pf.ParseError(f"block {raw!r} has a non-integer point") from exc
-    if not all(type(p) is int for p in pts):
+    if not all(type(p) is int for p in raw):
         raise pf.ParseError(f"block {raw!r} has a non-integer point")
-    a, b, c = sorted(pts)
+    a, b, c = sorted(raw)
     return a, b, c
 
 
 @st.composite
 def block_lists(draw):
     """A point count and a block list: a linear design, perhaps broken in
-    one way, with its points shuffled within blocks and some written as
-    decimal strings."""
+    one way, with its points shuffled within blocks."""
     v = draw(st.integers(min_value=1, max_value=10))
     pool = list(combinations(range(v), 3))
     picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)) if pool else []
@@ -279,13 +332,11 @@ def block_lists(draw):
         blocks.append(draw(st.lists(st.integers(0, v - 1), min_size=0, max_size=5)
                            .filter(lambda pts: len(pts) != 3)))
     elif fault == "type":
-        odd = draw(st.sampled_from([True, False, 1.0, 2.5, "x", "", None, b"1"]))
+        odd = draw(st.sampled_from([True, False, 1.0, 2.5, "1", "x", "", None, b"1"]))
         blocks.append([odd, 0, 1])
     out = []
     for blk in draw(st.permutations(blocks)):
-        pts = [str(p) if type(p) is int and draw(st.booleans()) else p
-               for p in draw(st.permutations(blk))]
-        out.append(draw(st.sampled_from([tuple, list]))(pts))
+        out.append(draw(st.sampled_from([tuple, list]))(draw(st.permutations(blk))))
     return v, out
 
 

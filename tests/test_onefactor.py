@@ -398,6 +398,16 @@ def test_bool_symbols_are_not_an_edge(cell):
         pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))
 
 
+@pytest.mark.parametrize("side", range(7, 52, 2))
+def test_list_cells_print_as_the_tuple_square(side):
+    square = room_square(side)
+    grid = tuple(tuple(None if cell is None else list(cell) for cell in row)
+                 for row in square.grid)
+    listed = RoomSquare(side, grid)
+    pf.validate_room(listed)
+    assert pf.room_to_text(listed) == pf.room_to_text(square)
+
+
 def test_list_cells_are_edges():
     grid = [[None if cell is None else list(cell) for cell in row] for row in room_square(7).grid]
     pf.validate_room(RoomSquare(7, tuple(map(tuple, grid))))

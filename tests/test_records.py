@@ -66,8 +66,7 @@ def test_the_defaults_hold():
     assert pf.Sequencing((0, 1, 2), True).violation is None
     assert pf.SearchOutcome(None, False, 0).proof is None
     record = pf.BoundRecord(1, 9, 0, 0, 0)
-    assert record.exact is None and record.sources == ()
-    assert record.source_of("lower") == "generic-theorem"
+    assert record.exact is None
 
 
 def test_the_properties_still_work():

@@ -94,8 +94,8 @@ def test_spanning_class_certifies_nonsequenceability(bose9):
         assert not out.found and out.proven_nonsequenceable
         assert out.proof == "spanning class" and out.nodes == 1
     # a budget too small for even the root node must not claim a proof
-    starved = pf.find_sequencing(psts3(), budget=0)
-    assert not starved.found and not starved.proven_nonsequenceable
+    for budget in (0, -1):
+        assert pf.find_sequencing(psts3(), budget=budget) == pf.SearchOutcome(None, False, 1)
     # v not a multiple of 3: disjoint blocks on all points but one or two
     # certify nothing, and a sequencing exists
     for v, blocks in ((4, [(0, 1, 2)]), (7, [(0, 1, 2), (3, 4, 5)]),
