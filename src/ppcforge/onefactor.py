@@ -344,10 +344,8 @@ def room_to_text(square: RoomSquare) -> str:
     """Text format: ``side=<n>`` header, then rows of ``a-b`` or ``.``."""
     lines = [f"side={square.side}"]
     for row in square.grid:
-        try:
-            cells = ["." if cell is None else "%d-%d" % cell for cell in row]
-        except TypeError:  # list cells, which validate_room accepts as edges too
-            cells = ["." if cell is None else "%d-%d" % tuple(cell) for cell in row]
+        # tuple(): validate_room accepts list cells as edges too
+        cells = ["." if cell is None else "%d-%d" % tuple(cell) for cell in row]
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 import json
-from collections import Counter
+from array import array
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -83,6 +84,11 @@ def test_non_integer_points_are_not_truncated(block):
     with pytest.raises(pf.ParseError) as err:
         pf.validate(7, [(3, 4, 5), block])
     assert str(err.value) == f"block {block!r} has a non-integer point"
+
+
+@pytest.mark.parametrize("block", [range(0, 3), deque([2, 0, 1]), array("i", [1, 2, 0])])
+def test_any_sequence_of_three_ints_is_a_block(block):
+    assert pf.validate(7, [(3, 4, 5), block]).blocks == ((0, 1, 2), (3, 4, 5))
 
 
 def test_bool_point_count_is_rejected():
@@ -336,7 +342,8 @@ def block_lists(draw):
         blocks.append([odd, 0, 1])
     out = []
     for blk in draw(st.permutations(blocks)):
-        out.append(draw(st.sampled_from([tuple, list]))(draw(st.permutations(blk))))
+        # a deque is read by _int_points rather than the tuple/list fast path
+        out.append(draw(st.sampled_from([tuple, list, deque]))(draw(st.permutations(blk))))
     return v, out
 
 
