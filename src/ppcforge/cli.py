@@ -25,8 +25,7 @@ from typing import List, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .core import (NODE_LIMIT, Design, Exhausted, ToolkitError, deserialize,
-                   read_ppc_comments, serialize)
+from .core import NODE_LIMIT, Design, ToolkitError, deserialize, read_ppc_comments, serialize
 from .onefactor import room_square, room_to_text
 from .oracle import brute_beta
 from .ppc import BadCertificate, certify, class_points, solve_max_ppc
@@ -274,9 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "budget", 1) < 1:
             raise ToolkitError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
-    except Exhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,10 +22,11 @@ edge-disjoint one-factors F_1..F_rho of K_ell together with representative
 edges e_j in F_j that are pairwise vertex-disjoint; the order alone picks
 the rule.  For 8 <= ell <= 52 the factors are rows of a Room square of
 side ell-1 and the representatives their first-column cells, independent
-since that column is itself a one-factor.  The rows are read off the
-starter: no square is developed or validated for a selection, since
-``construct`` checks what it builds from them.  No selection exists for
-(ell, rho) = (4, 2): disjoint edges of K_4 share a one-factor.
+since that column is itself a one-factor.  ``room_square`` and the
+selection read one cached grid per side, ``_grid``; a selection does not
+validate it, since ``construct`` checks what it builds from the rows.  No
+selection exists for (ell, rho) = (4, 2): disjoint edges of K_4 share a
+one-factor.
 """
 
 from functools import lru_cache
@@ -128,7 +129,7 @@ def strong_starter(n: int, budget: int = NODE_LIMIT) -> Optional[List[Edge]]:
     when the whole space was searched (as happens for n = 9); raises
     ``Exhausted`` past ``budget`` nodes and ``SearchTooDeep`` past the
     recursion limit (one frame per pair).  No square is built from
-    this search: ``room_square`` reads ``_STARTERS``, and the search is the
+    this search: ``_grid`` reads ``_STARTERS``, and the search is the
     referee that re-derives that table.
     """
     if type(n) is not int or n < 1:
@@ -210,9 +211,8 @@ _STARTERS = {
 ROOM_MAX_ORDER = max(_STARTERS) + 1
 
 
-@lru_cache(maxsize=None)
 def _stored_starter(n: int) -> Tuple[Edge, ...]:
-    """Decode ``_STARTERS[n]`` into its pairs, once: a tuple, as it is cached."""
+    """Decode ``_STARTERS[n]`` into its pairs."""
     free = (1 << n) - 2  # 1..n-1
     pairs = []
     for y in _STARTERS[n]:
@@ -220,19 +220,6 @@ def _stored_starter(n: int) -> Tuple[Edge, ...]:
         pairs.append((xbit.bit_length() - 1, y))
         free ^= xbit | 1 << y
     return tuple(pairs)
-
-
-def _square_from_starter(n: int, starter: Tuple[Edge, ...]) -> RoomSquare:
-    """Develop a strong starter through Z_n, writing each row in place."""
-    rows = []
-    for g in range(n):
-        row: List[Optional[Edge]] = [None] * n
-        row[g] = (g, n)
-        for x, y in starter:
-            u, w = (x + g) % n, (y + g) % n
-            row[(g + x + y) % n] = (u, w) if u < w else (w, u)
-        rows.append(tuple(row))
-    return RoomSquare(n, tuple(rows))
 
 
 # Square of side 9, where Z_9 has no strong starter.  Diagonal carries
@@ -253,27 +240,43 @@ _SIDE9_CELLS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _grid(n: int) -> Tuple[Tuple[Optional[Edge], ...], ...]:
+    """The grid of the stored square of side n, not validated: the cells
+    of ``_SIDE9_CELLS`` for n = 9, else the stored starter developed
+    through Z_n, row g holding {g, n} at column g and each pair {x, y}
+    shifted by g at column g+x+y."""
+    if n == 9:
+        return tuple(tuple(_SIDE9_CELLS.get((r, c)) for c in range(9)) for r in range(9))
+    starter = _stored_starter(n)
+    rows = []
+    for g in range(n):
+        row: List[Optional[Edge]] = [None] * n
+        row[g] = (g, n)
+        for x, y in starter:
+            u, w = (x + g) % n, (y + g) % n
+            row[(g + x + y) % n] = (u, w) if u < w else (w, u)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 7.0 must not find the square of 7
 def room_square(side: int) -> RoomSquare:
-    """Build a Room square of the given side.
+    """Build a Room square of the given side, validated.
 
     Sides must be odd and at least 7 (there is no Room square of side 3 or
-    5, and side 1 is trivial and unused here).  Side 9 is the stored
-    square, the other sides up to 51 develop the stored strong starter of
-    Z_side, and every larger side raises ``ToolkitError``.
+    5, and side 1 is trivial and unused here).  The grid is ``_grid(side)``,
+    the one that ``select_factors`` reads, for every side up to 51; every
+    larger side raises ``ToolkitError``.
     """
     if type(side) is not int or side % 2 == 0 or side < 7:
         raise ToolkitError(f"Room squares need an odd side >= 7, got {side!r}")
-    if side == 9:
-        grid = tuple(tuple(_SIDE9_CELLS.get((r, c)) for c in range(9)) for r in range(9))
-        square = RoomSquare(9, grid)
-    elif side in _STARTERS:
-        square = _square_from_starter(side, _stored_starter(side))
-    else:
+    if side >= ROOM_MAX_ORDER:
         raise ToolkitError(
             f"ppcforge builds Room squares of odd sides 7 to {ROOM_MAX_ORDER - 1} "
             f"only (one exists for every odd side >= 7), got {side}"
         )
+    square = RoomSquare(side, _grid(side))
     validate_room(square)
     return square
 
@@ -382,12 +385,11 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     searches:
 
     * ell <= 4: the first round-robin factor and its first edge;
-    * 8 <= ell <= ROOM_MAX_ORDER: the first rho rows, in row order, of the
-      Room square of side n = ell-1 whose first-column cell is filled,
-      that cell being the representative: rows g = 0, with {0, n}, and
-      g = -(x+y), with {-y, -x}, for each stored starter pair {x, y}.
-      Factor g is {g, n} plus each pair shifted by g, sorted; for ell = 10
-      the rows come from ``_SIDE9_CELLS``.  No square is developed;
+    * 8 <= ell <= ROOM_MAX_ORDER: the first rho rows, in row order, of
+      ``_grid(ell-1)``, the grid of the Room square of side ell-1, whose
+      first-column cell is filled, that cell being the representative.
+      The grid is developed once per side and cached, not validated, since
+      ``construct`` checks what it builds from it;
     * ell = 6 and ell > ROOM_MAX_ORDER, where no starter is stored: the
       round-robin factors through the first rho edges of
       ``rainbow_matching``, with the points relabelled so that the
@@ -396,36 +398,19 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
     The relabelling puts the reps first in block order, so first-fit over
     the sorted blocks of a factor join takes exactly the witness class.
     """
-    if ell < 2 or ell % 2:
-        raise ToolkitError(f"need an even order >= 2, got {ell}")
-    if rho < 1 or 2 * rho > ell:
-        raise ToolkitError(f"need 1 <= rho <= ell/2, got rho={rho}, ell={ell}")
+    if type(ell) is not int or ell < 2 or ell % 2:  # type(): bool subclasses int
+        raise ToolkitError(f"need an even order >= 2, got {ell!r}")
+    if type(rho) is not int or rho < 1 or 2 * rho > ell:
+        raise ToolkitError(f"need 1 <= rho <= ell/2, got rho={rho!r}, ell={ell}")
     if (ell, rho) == (4, 2):
         raise ToolkitError("two vertex-disjoint edges of K_4 lie in one one-factor")
     if ell <= 4:
         factor = round_robin(ell)[0]
         return FactorSelection((factor,), (factor[0],))
     if 8 <= ell <= ROOM_MAX_ORDER:
-        n = ell - 1
-        if n == 9:
-            firsts = sorted(r for r, c in _SIDE9_CELLS if c == 0)[:rho]
-            reps = [_SIDE9_CELLS[g, 0] for g in firsts]
-            factors = [sorted(e for (r, _), e in _SIDE9_CELLS.items() if r == g) for g in firsts]
-        else:
-            starter = _stored_starter(n)
-            # the pair sums of a strong starter are distinct and nonzero
-            first_cells = {-(x + y) % n: (n - y, n - x) for x, y in starter}
-            first_cells[0] = (0, n)
-            firsts = sorted(first_cells)[:rho]
-            reps = [first_cells[g] for g in firsts]
-            factors = []
-            for g in firsts:
-                row = [(g, n)]
-                for x, y in starter:
-                    u, w = (x + g) % n, (y + g) % n
-                    row.append((u, w) if u < w else (w, u))
-                factors.append(sorted(row))
-        return FactorSelection(tuple(map(tuple, factors)), tuple(reps))
+        rows = [row for row in _grid(ell - 1) if row[0]][:rho]
+        return FactorSelection(tuple(tuple(sorted(filter(None, row))) for row in rows),
+                               tuple(row[0] for row in rows))
     matching = rainbow_matching(ell)
     label = [0] * ell
     for j, ((a, b), _) in enumerate(matching):

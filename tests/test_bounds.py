@@ -178,6 +178,21 @@ def test_fixed_rho_gap_is_bounded():
             assert pf.beta_upper(rho, v) - pf.beta_lower(rho, v) <= cap
 
 
+# The (rho, v) with 3*rho <= v where beta_upper - beta_lower exceeds
+# gap_bound(rho); each has v - 3*rho <= 11
+GAP_BOUND_EXCEPTIONS = (
+    [(1, v) for v in range(6, 13)] + [(2, v) for v in range(11, 18)]
+    + [(3, v) for v in range(18, 21)] + [(4, 23)]
+)
+
+
+def test_gap_bound_fails_only_at_the_named_pairs():
+    failing = [(rho, v) for rho in range(1, 41) for v in range(3 * rho, 1201)
+               if pf.beta_upper(rho, v) - pf.beta_lower(rho, v) > pf.gap_bound(rho)]
+    assert failing == GAP_BOUND_EXCEPTIONS
+    assert all(v - 3 * rho <= 11 for rho, v in failing)
+
+
 def test_quadratic_growth_when_rho_scales():
     for c in (3, 4, 5):
         lo_ratios, up_ratios = [], []

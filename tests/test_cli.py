@@ -487,6 +487,14 @@ def test_oracle_beta_answers_at_its_cap_and_refuses_past_it(capsys):
     assert stderr == "error: v=10 exceeds the oracle cap of 9\n"
 
 
+def test_oracle_beta_exits_3_on_an_exhausted_budget(capsys):
+    result = pf.brute_beta(2, 9, budget=100)
+    assert not result.complete
+    rc, stdout, stderr = run(capsys, "oracle", "beta", "--rho", "2", "--v", "9", "--budget", "100")
+    assert rc == 3 and stdout == ""
+    assert stderr == f"budget exhausted; best found so far {result.value}\n"
+
+
 def test_check_sts27(capsys):
     rc, stdout, _ = run(capsys, "check-sts27")
     assert rc == 0

@@ -23,6 +23,7 @@ from ppcforge.onefactor import (
     room_square,
     room_to_text,
     strong_starter,
+    _grid,
     _stored_starter,
 )
 
@@ -470,8 +471,7 @@ def test_room_selection_is_pinned():
 
 @pytest.mark.parametrize("side", range(7, ROOM_MAX_ORDER, 2))
 def test_selection_is_the_first_column_rows_of_the_square(side):
-    # read from the starter, the rows and their first-column cells are those
-    # of the developed and validated square
+    # the rows and their first-column cells are those of the validated square
     square = room_square(side)
     pf.validate_room(square)
     rows = [r for r in range(side) if square.grid[r][0] is not None]
@@ -483,7 +483,7 @@ def test_selection_is_the_first_column_rows_of_the_square(side):
 
 def test_factor_joins_never_build_a_square(monkeypatch):
     def no_square(*args):
-        raise AssertionError("a Room square was built or validated")
+        raise AssertionError("room_square or validate_room was called")
 
     monkeypatch.setattr(pf.onefactor, "room_square", no_square)
     monkeypatch.setattr(pf.onefactor, "validate_room", no_square)
@@ -492,6 +492,24 @@ def test_factor_joins_never_build_a_square(monkeypatch):
             for kind, build in pf.FACTOR_JOINS.items():
                 if kind != "trimmed" or ell > 2 * rho:
                     assert build(rho, ell).rho == rho, (kind, rho, ell)
+
+
+def test_every_square_is_the_stored_grid():
+    for side in range(7, ROOM_MAX_ORDER, 2):
+        assert room_square(side).grid is _grid(side), side
+
+
+@pytest.mark.parametrize("ell", [10, 16])  # the side-9 cells and a developed starter
+def test_a_selection_and_its_square_develop_one_grid(ell):
+    _grid.cache_clear()
+    room_square.cache_clear()
+    try:
+        for rho in range(1, ell // 2 + 1):
+            pf.select_factors(ell, rho)
+        assert room_square(ell - 1).grid is _grid(ell - 1)
+        assert _grid.cache_info().misses == 1
+    finally:
+        room_square.cache_clear()
 
 
 @pytest.mark.parametrize("ell", [6, 54, 58])
@@ -517,6 +535,19 @@ def test_rainbow_selection_is_proven_at_the_root(ell):
 def test_select_factors_4_2_infeasible():
     with raises_exactly("two vertex-disjoint edges of K_4 lie in one one-factor"):
         pf.select_factors(4, 2)
+
+
+@pytest.mark.parametrize("ell,rho,message", [
+    (8.0, 1, "need an even order >= 2, got 8.0"),
+    (10.0, 1, "need an even order >= 2, got 10.0"),  # not the rows of side 9
+    (8, 1.0, "need 1 <= rho <= ell/2, got rho=1.0, ell=8"),
+    (8, True, "need 1 <= rho <= ell/2, got rho=True, ell=8"),
+])
+def test_select_factors_needs_int_orders(ell, rho, message):
+    with raises_exactly(message):
+        pf.select_factors(ell, rho)
+    with raises_exactly(message):
+        pf.factor_join(rho, ell)
 
 
 def test_select_factors_needs_rho_at_most_half_ell():
