@@ -38,6 +38,14 @@ def packing_number(v: int) -> int:
     return d
 
 
+def _in_domain(rho: int, v: int, strict: bool = True) -> bool:
+    """Whether v >= 3*rho >= 3.  A rho or v that is not an int (a bool is
+    not one) raises ToolkitError, and so does a pair outside if ``strict``."""
+    if type(rho) is int and type(v) is int and (1 <= rho <= v // 3 or not strict):
+        return 1 <= rho <= v // 3
+    raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho!r}, v={v!r}")
+
+
 def beta_lower(rho: int, v: int) -> int:
     """Constructive lower bound on beta(rho, v).
 
@@ -47,8 +55,7 @@ def beta_lower(rho: int, v: int) -> int:
     beta(2,6) is 2, so at that single pair this function overstates by one;
     it is kept as the formula value deliberately -- see the test suite.)
     """
-    if rho < 1 or v < 3 * rho:
-        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+    _in_domain(rho, v)
     d = packing_number(rho)
     if (v - rho) % 2 == 0 and (v, rho) != (6, 2):
         return rho * (v - rho) // 2 + d
@@ -62,41 +69,30 @@ def beta_upper(rho: int, v: int) -> int:
     The first term equals rho*((9*rho-7)/2 + max(...)) but is computed in
     the integral binomial form to avoid fractional intermediates.
     """
-    if rho < 1 or v < 3 * rho:
-        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+    _in_domain(rho, v)
     counting = comb(3 * rho, 2) - 2 * rho + rho * max(6, (v - 3 * rho) // 2)
     return min(counting, packing_number(v))
 
 
 def beta_exact_known(rho: int, v: int) -> Optional[int]:
-    """Exact beta values where established; None otherwise.
-
-    Covers: the complete beta(1, v) table; beta(2, 7) = 5; the maximum-rho
-    case beta(floor(v/3), v) = v*(v-1)/6 when an STS(v) with a parallel
-    class exists (v = 1 or 3 mod 6, v != 7); and the individually known
-    beta(4,15) = 35, beta(6,21) = 70, beta(8,27) = 117.
-    """
-    if rho == 1 and v >= 3:
-        if v in (3, 4):
-            return 1
-        if v == 5:
-            return 2
-        if v == 6:
-            return 4
-        if v <= 14:
-            return 7
-        return (v - 1) // 2
+    """Exact beta(rho, v) where it is established, else None: ``beta_upper``
+    where a known design attains it -- rho = 1; rho = floor(v/3) with v = 1
+    or 3 mod 6, v != 7 (an STS(v) with a parallel class); (4,15), (6,21),
+    (8,27) -- and 5 at (2,7), two below it, as exhaustive search shows."""
+    if not _in_domain(rho, v, strict=False):
+        return None
     if (rho, v) == (2, 7):
         return 5
-    if (rho, v) in {(4, 15), (6, 21), (8, 27)}:
-        return {(4, 15): 35, (6, 21): 70, (8, 27): 117}[(rho, v)]
-    if v >= 3 and rho == v // 3 and v % 6 in (1, 3) and v != 7:
-        return v * (v - 1) // 6
+    if (rho == 1 or (rho == v // 3 and v % 6 in (1, 3) and v != 7)
+            or (rho, v) in ((4, 15), (6, 21), (8, 27))):
+        return beta_upper(rho, v)
     return None
 
 
 def gap_bound(rho: int) -> Fraction:
     """Cap on beta_upper - beta_lower for fixed rho: (10*rho^2 - 8*rho + 1)/3."""
+    if type(rho) is not int or rho < 1:
+        raise ToolkitError(f"need rho >= 1, got {rho!r}")
     return Fraction(10 * rho * rho - 8 * rho + 1, 3)
 
 

@@ -237,8 +237,8 @@ def max_packing(rho: int) -> Design:
 
     No PSTS(rho) has more than D(rho) blocks, so the result is maximum.
     """
-    if rho < 1:
-        raise OutOfRange(f"need rho >= 1, got {rho}")
+    if type(rho) is not int or rho < 1:
+        raise OutOfRange(f"need rho >= 1, got {rho!r}")
     design = validate(rho, _packing(rho))
     assert design.b == packing_number(rho)
     return design
@@ -251,8 +251,8 @@ def construct_bose(v: int) -> ConstructionWitness:
     Column triples {(x,0),(x,1),(x,2)} form the parallel class; the mixed
     triples are {(x,j),(y,j),((x+y)/2, j+1)} for x < y, halving mod n.
     """
-    if v % 6 != 3:
-        raise ToolkitError(f"need v = 3 mod 6, got {v}")
+    if type(v) is not int or v % 6 != 3:
+        raise ToolkitError(f"need v = 3 mod 6, got {v!r}")
     n = v // 3
     design = validate(v, _bose(v))
     assert design.b == v * (v - 1) // 6

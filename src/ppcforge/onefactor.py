@@ -81,8 +81,8 @@ def round_robin(ell: int) -> Tuple[Factor, ...]:
     Vertex ell-1 stays fixed; vertices 0..ell-2 rotate.  Factor r pairs r
     with the fixed vertex and pairs r-k with r+k (mod ell-1) for each k.
     """
-    if ell < 2 or ell % 2:
-        raise ToolkitError(f"need an even order >= 2, got {ell}")
+    if type(ell) is not int or ell < 2 or ell % 2:
+        raise ToolkitError(f"need an even order >= 2, got {ell!r}")
     return tuple(_circle_factor(ell, r) for r in range(ell - 1))
 
 
@@ -106,8 +106,8 @@ def rainbow_matching(ell: int) -> List[Tuple[Edge, int]]:
     for i < (m-5)/2, then {m-5, m-3}, {m-4, m-1} and {m-2, m}.  Either way
     the factor indices are pairwise distinct.
     """
-    if ell < 6 or ell % 2:
-        raise ToolkitError(f"rainbow matchings are built for even orders >= 6, got {ell}")
+    if type(ell) is not int or ell < 6 or ell % 2:
+        raise ToolkitError(f"rainbow matchings are built for even orders >= 6, got {ell!r}")
     m = ell - 1
     if m % 4 == 1:
         edges = [(0, m)] + [(2 * j + 1, 2 * j + 2) for j in range((m - 1) // 2)]

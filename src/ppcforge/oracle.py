@@ -13,6 +13,7 @@ rho.
 from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
+from .bounds import _in_domain
 from .core import NODE_LIMIT, Block, Design, Exhausted, ToolkitError
 
 
@@ -66,8 +67,7 @@ def brute_beta(rho: int, v: int, budget: int = NODE_LIMIT) -> BetaResult:
     """
     if v > 9:
         raise ToolkitError(f"v={v} exceeds the oracle cap of 9")
-    if rho < 1 or v < 3 * rho:
-        raise ToolkitError(f"need v >= 3*rho >= 3, got rho={rho}, v={v}")
+    _in_domain(rho, v)
 
     triples: List[Block] = list(combinations(range(v), 3))
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triples]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ppcforge as pf
 from ppcforge.bounds import bound_table, format_table
 
-from conftest import raises_exactly
+from conftest import DATA, fano_union, raises_exactly
 
 
 TABLE1 = {
@@ -84,6 +84,76 @@ def test_beta1_full_table():
         assert pf.beta_exact_known(1, v) == 7
     for v in range(15, 60):
         assert pf.beta_exact_known(1, v) == (v - 1) // 2
+
+
+def parent_beta_exact_known(rho, v):
+    """beta_exact_known as it stood when it wrote out each value by hand."""
+    if rho == 1 and v >= 3:
+        if v in (3, 4):
+            return 1
+        if v == 5:
+            return 2
+        if v == 6:
+            return 4
+        if v <= 14:
+            return 7
+        return (v - 1) // 2
+    if (rho, v) == (2, 7):
+        return 5
+    if (rho, v) in {(4, 15), (6, 21), (8, 27)}:
+        return {(4, 15): 35, (6, 21): 70, (8, 27): 117}[(rho, v)]
+    if v >= 3 and rho == v // 3 and v % 6 in (1, 3) and v != 7:
+        return v * (v - 1) // 6
+    return None
+
+
+def test_exact_values_are_the_ones_written_out_by_hand():
+    for rho in range(-2, 120):
+        for v in range(-2, 700):
+            assert pf.beta_exact_known(rho, v) == parent_beta_exact_known(rho, v), (rho, v)
+
+
+def beta1_witness(v):
+    """A PSTS(v) with beta(1, v) blocks, every two of which meet: one block,
+    two on a point, the Pasch configuration, the Fano plane, a star."""
+    if v <= 4:
+        return [(0, 1, 2)]
+    if v == 5:
+        return [(0, 1, 2), (0, 3, 4)]
+    if v == 6:
+        return [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]
+    if v <= 14:
+        return fano_union(1).blocks
+    return [(0, 2 * i - 1, 2 * i) for i in range(1, (v + 1) // 2)]
+
+
+# (rho, v) -> a witness with beta_exact_known(rho, v) blocks and maximum
+# class rho; its upper side is beta_upper, or at (2,7) the exhaustive search
+EXACT_WITNESSES = {
+    **{(1, v): beta1_witness(v) for v in range(3, 200)},
+    **{(v // 3, v): pf.max_packing(v).blocks for v in range(9, 100) if v % 6 in (1, 3)},
+    (2, 7): pf.psts7_fixture().blocks,
+    (4, 15): pf.deserialize((DATA / "sts15_nu4.txt").read_text()).blocks,
+}
+# exact values that rest on a published design, not on a witness stored here
+CITED_EXACT = {(6, 21), (8, 27)}
+
+
+def test_every_exact_value_is_proven_or_cited():
+    for (rho, v), blocks in EXACT_WITNESSES.items():
+        design = pf.validate(v, blocks)
+        beta = pf.beta_exact_known(rho, v)
+        assert design.b == beta, (rho, v)
+        res = pf.solve_max_ppc(design)
+        assert res.optimal and res.size == rho, (rho, v)
+        if (rho, v) == (2, 7):
+            exhaustive = pf.brute_beta(2, 7)
+            assert exhaustive.complete and exhaustive.value == beta
+        else:
+            assert pf.beta_upper(rho, v) == beta, (rho, v)
+    known = {(rho, v) for v in range(100) for rho in range(1, v // 3 + 1)
+             if pf.beta_exact_known(rho, v) is not None}
+    assert known - set(EXACT_WITNESSES) == CITED_EXACT
 
 
 def test_gap_bound_values():

@@ -181,6 +181,12 @@ def test_verify_accepts_the_frozen_file(capsys):
     assert stdout == "ok: v=11 b=13, embedded class of 3 disjoint blocks\n"
 
 
+def test_verify_without_a_class(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("v=7\n0 1 2\n")
+    assert run(capsys, "verify", str(path)) == (0, "ok: v=7 b=1\n", "")
+
+
 def test_verify_rejects_pair_reuse(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("v=5\n0 1 2\n0 1 3\n")
@@ -216,6 +222,9 @@ _JSON_BAD = (
     (["verify"], "v=3\n# ppc: 0 1 x\n0 1 2\n"),
     (["oracle", "beta", "--rho", "3", "--v", "5"], None),
     (["oracle", "beta", "--rho", "1", "--v", "2"], None),
+    # appended, not put among the cases above, so that their ids keep their indices
+    *((cmd, '{"v": 7, "blocks": [[0, 1, 2]') for cmd in (["verify"], ["solve-ppc"])),
+    (["verify"], "v=3\n# ppc: 0 1\n0 1 2\n"),
 ])
 def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
     if text is not None:

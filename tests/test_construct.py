@@ -133,6 +133,11 @@ def test_max_packing_hits_the_packing_number(rho, expected):
     assert mp.b == expected == pf.packing_number(rho)
 
 
+def test_max_packing_needs_rho_of_at_least_1():
+    with raises_exactly("need rho >= 1, got 0", pf.OutOfRange):
+        pf.max_packing(0)
+
+
 @pytest.mark.parametrize("rho", range(1, 101))
 def test_max_packing_leave_by_residue(rho):
     covered = {pair for a, b, c in pf.max_packing(rho).blocks
@@ -223,6 +228,12 @@ def test_sts27_single_triple_sum():
 def test_sts27_mutation_breaks_sum():
     with raises_exactly("triple {10,11,33} sums to (0,4), not (0,0)"):
         check_sts27_triples((((1, 0), (1, 1), (3, 3)),))
+
+
+def test_sts27_point_outside_the_grid():
+    # (5,0) sums like (0,0) but lies outside Z_5 x Z_5
+    with raises_exactly("point (5, 0) is outside Z_5 x Z_5", pf.OutOfRange):
+        check_sts27_triples([((5, 0), (0, 1), (0, 4))])
 
 
 def test_sts27_repeat_breaks_disjointness():

@@ -1,6 +1,6 @@
 """The package surface: ``__all__`` lists every public name, pydoc
-documents each of them, and a failure has its own error class only where a
-caller tells it apart."""
+documents each of them, a failure has its own error class only where a
+caller tells it apart, and an order that is not an int is refused."""
 
 import hashlib
 import importlib
@@ -8,7 +8,12 @@ import pkgutil
 import pydoc
 import re
 
+import pytest
+
 import ppcforge as pf
+from ppcforge.onefactor import rainbow_matching
+
+from conftest import raises_exactly
 
 
 def test_all_holds_the_public_names():
@@ -49,3 +54,27 @@ def test_error_classes_are_the_kept_ones():
                     and obj.__module__ == module.__name__]
     assert sorted(defined) == sorted(KEPT_ERRORS)
 
+
+
+# a float or a bool order is refused with the error class that the same
+# function raises for an int order out of range, never truncated or used
+@pytest.mark.parametrize("call,args,cls,message", [
+    (pf.round_robin, (8.0,), pf.ToolkitError, "need an even order >= 2, got 8.0"),
+    (rainbow_matching, (8.0,), pf.ToolkitError,
+     "rainbow matchings are built for even orders >= 6, got 8.0"),
+    (pf.max_packing, (5.0,), pf.OutOfRange, "need rho >= 1, got 5.0"),
+    (pf.max_packing, (True,), pf.OutOfRange, "need rho >= 1, got True"),
+    (pf.construct_bose, (9.0,), pf.ToolkitError, "need v = 3 mod 6, got 9.0"),
+    (pf.gap_bound, (1.5,), pf.ToolkitError, "need rho >= 1, got 1.5"),
+    (pf.gap_bound, (True,), pf.ToolkitError, "need rho >= 1, got True"),
+    (pf.beta_lower, (1.0, 9), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=1.0, v=9"),
+    (pf.beta_upper, (True, 9), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=True, v=9"),
+    (pf.beta_upper, (1, 9.0), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=1, v=9.0"),
+    (pf.brute_beta, (1.0, 5), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=1.0, v=5"),
+    (pf.beta_exact_known, (1.0, 20), pf.ToolkitError,
+     "need v >= 3*rho >= 3, got rho=1.0, v=20"),
+    (pf.beta_exact_known, (2, 7.0), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=2, v=7.0"),
+])
+def test_a_non_int_order_is_refused(call, args, cls, message):
+    with raises_exactly(message, cls):
+        call(*args)

@@ -244,6 +244,15 @@ def test_profile_rejects_swap_improvable():
         extension_profile(d, [(0, 1, 2)])
 
 
+def test_profile_of_a_corrupt_design_is_a_runtime_error():
+    # built past validate: (0,3,4) twice gives point 0 two pendant blocks,
+    # more than the (v - 3*rho)/2 = 1 a valid design allows
+    corrupt = pf.Design(5, ((0, 1, 2), (0, 3, 4), (0, 3, 4)))
+    with raises_exactly("block (0, 1, 2) has t-sum 2 > (v-3*rho)/2; "
+                        "impossible for a valid design, input must be corrupt", RuntimeError):
+        extension_profile(corrupt, [(0, 1, 2)])
+
+
 def test_profile_rejects_overlapping_class(psts7):
     with raises_exactly("class reuses point 2", BadCertificate):
         extension_profile(psts7, [(0, 1, 2), (2, 5, 6)])
