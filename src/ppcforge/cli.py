@@ -37,8 +37,17 @@ from .sequence import (
 )
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file as UTF-8 text with CRLF and CR line ends made LF, as a
+    text-mode ``open`` reads it (JSON error positions count characters),
+    without the cost of its text layer."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise ToolkitError(f"{path}: not UTF-8 text ({where})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _emit(text: str, out: Optional[str]) -> TextIO:
@@ -86,11 +95,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve_max_ppc(design, budget=args.budget)
     elapsed = time.perf_counter() - t0
     status = "optimal" if result.optimal else "budget-exhausted (lower bound)"
-    print(f"max ppc = {result.size} ({status})")
-    for blk in result.witness:
-        print("  " + " ".join(map(str, blk)))
-    print(f"nodes: {result.nodes}", file=sys.stderr)
-    print(f"time: {elapsed:.3f}s", file=sys.stderr)
+    sys.stdout.write(f"max ppc = {result.size} ({status})\n"
+                     + "".join(f"  {a} {b} {c}\n" for a, b, c in result.witness))
+    sys.stderr.write(f"nodes: {result.nodes}\ntime: {elapsed:.3f}s\n")
     return 0 if result.optimal else 3
 
 

@@ -171,7 +171,7 @@ def deserialize(text: str) -> Design:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for json
             raise ParseError(f"bad JSON design: {exc}") from exc
         if "v" not in obj or "blocks" not in obj:  # text opening with "{" loads a dict
             raise ParseError("JSON design needs keys 'v' and 'blocks'")
@@ -179,15 +179,17 @@ def deserialize(text: str) -> Design:
             raise ParseError("JSON design: 'blocks' must be a list")
         return validate(obj["v"], obj["blocks"])
     v, records = read_text(text, "v")
-    blocks = []
-    for lineno, line in records:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 points, got {line!r}")
-        try:
-            blocks.append(tuple(map(int, parts)))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer point in {line!r}") from exc
+    try:  # a block line is three tokens that int() reads
+        blocks = [(int(a), int(b), int(c)) for a, b, c in (ln.split() for _, ln in records)]
+    except ValueError:  # name the first line that broke the rule
+        for lineno, line in records:
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 3 points, got {line!r}") from None
+            try:
+                [int(p) for p in parts]
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: non-integer point in {line!r}") from exc
     return validate(v, blocks)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -75,6 +76,20 @@ def test_solve_ppc(tmp_path, capsys):
     assert stdout.splitlines()[0] == "max ppc = 3 (optimal)"
     assert len(stdout.splitlines()) == 4  # header + three class blocks
     assert "nodes:" in stderr and "time:" in stderr
+
+
+# the exact bytes of an answer; stderr varies only in its time
+@pytest.mark.parametrize("design,flags,rc,stdout,nodes", [
+    (fano_union(1), [], 0, "max ppc = 1 (optimal)\n  0 1 3\n", 7),
+    (pf.psts7_fixture(), [], 0, "max ppc = 2 (optimal)\n  0 1 2\n  3 4 5\n", 1),
+    (fano_union(1), ["--budget", "2"], 3,
+     "max ppc = 1 (budget-exhausted (lower bound))\n  0 1 3\n", 3),
+    (pf.Design(5, ()), [], 0, "max ppc = 0 (optimal)\n", 0),
+], ids=["fano", "psts7", "fano-budget-2", "v5-no-blocks"])
+def test_solve_ppc_output_is_pinned(tmp_path, capsys, design, flags, rc, stdout, nodes):
+    got_rc, got_stdout, stderr = run(capsys, "solve-ppc", write_design(tmp_path, design), *flags)
+    assert (got_rc, got_stdout) == (rc, stdout)
+    assert re.fullmatch(rf"nodes: {nodes}\ntime: \d+\.\d{{3}}s\n", stderr), stderr
 
 
 def test_solve_ppc_budget_flag(tmp_path, capsys, fano):
@@ -225,6 +240,9 @@ _JSON_BAD = (
     # appended, not put among the cases above, so that their ids keep their indices
     *((cmd, '{"v": 7, "blocks": [[0, 1, 2]') for cmd in (["verify"], ["solve-ppc"])),
     (["verify"], "v=3\n# ppc: 0 1\n0 1 2\n"),
+    # nested past the json module's recursion limit
+    *(pytest.param(cmd, '{"v": 7, "blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                   id=f"{cmd[0]}-nested-100000-deep") for cmd in (["verify"], ["solve-ppc"])),
 ])
 def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
     if text is not None:
@@ -235,6 +253,40 @@ def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
     assert rc == (2 if argv[0] == "verify" else 1)
     assert len((stdout + stderr).splitlines()) == 1
     assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-ppc", "BAD"],
+    ["verify", "BAD"],
+    ["sequence", "find", "BAD"],
+    ["sequence", "check", "BAD", "SEQ"],
+    ["sequence", "check", "DESIGN", "BAD"],
+])
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"v=7\n0 1 \xff\n")
+    seq = tmp_path / "seq.txt"
+    seq.write_text(pf.sequencing_to_text(11, list(range(11))))
+    files = {"BAD": str(bad), "SEQ": str(seq), "DESIGN": str(DATA / "psts11.txt")}
+    rc, stdout, stderr = run(capsys, *(files.get(a, a) for a in argv))
+    assert (rc, stdout) == (1, "")
+    assert stderr == f"error: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
+
+
+@pytest.mark.parametrize("text", [
+    "# the Fano plane\n\nv=7\n0 1 3\n0 2 6\n0 4 5\n1 2 4\n1 5 6\n2 3 5\n3 4 6\n",
+    '{"v": 7,\n "blocks": [[0, 1, 2]\n',  # a JSON error names its line and character
+    "v=7\n# c\n\n0 1 x\n",
+], ids=["fano", "bad-json", "bad-line"])
+@pytest.mark.parametrize("cmd", ["verify", "solve-ppc"])
+def test_crlf_and_cr_files_read_as_their_lf_twin(tmp_path, capsys, cmd, text):
+    path = tmp_path / "design.txt"
+    answers = []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(text.replace("\n", end).encode())
+        rc, stdout, stderr = run(capsys, cmd, str(path))
+        answers.append((rc, stdout, re.sub(r"time: \S+", "", stderr)))
+    assert answers[1] == answers[2] == answers[0]
 
 
 def test_table1_is_the_bounds_shorthand(capsys):

@@ -347,9 +347,9 @@ def block_lists(draw):
     return v, out
 
 
-def outcome(fn, v, blocks):
+def outcome(fn, *args):
     try:
-        return fn(v, blocks)
+        return fn(*args)
     except Exception as exc:  # the class and message are what must agree
         return type(exc), str(exc)
 
@@ -370,6 +370,92 @@ def outcome(fn, v, blocks):
 def test_validate_matches_the_reference(case):
     v, blocks = case
     assert outcome(pf.validate, v, blocks) == outcome(reference_validate, v, blocks)
+
+
+def reference_deserialize(text):
+    """The text format read one line at a time, the header, the comments
+    and each block in turn: the plain form the one-comprehension reader
+    in ``deserialize`` must agree with."""
+    v, blocks = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if v is None:
+            if not line.startswith("v="):
+                raise pf.ParseError(f"line {lineno}: expected 'v=<int>' header")
+            try:
+                v = int(line[2:])
+            except ValueError:
+                raise pf.ParseError(f"line {lineno}: bad header {line!r}") from None
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise pf.ParseError(f"line {lineno}: expected 3 points, got {line!r}")
+        try:
+            blocks.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise pf.ParseError(f"line {lineno}: non-integer point in {line!r}") from None
+    if v is None:
+        raise pf.ParseError("missing 'v=<int>' header")
+    return reference_validate(v, blocks)
+
+
+def point_tokens(p):
+    """Ways to write the point ``p`` that ``int()`` reads as ``p``."""
+    out = [str(p), f"+{p}", f"0{p}"]
+    if p == 0:
+        out.append("-0")
+    if p >= 10:
+        out.append(f"{p // 10}_{p % 10}")
+    return out
+
+
+@st.composite
+def design_texts(draw):
+    """A design file as a person might write it: comment and blank lines
+    anywhere, CRLF or LF endings, tabs and padding, ``+3``/``1_0``-style
+    points, and at most one fault on one block line."""
+    v = draw(st.integers(min_value=1, max_value=12))
+    pool = list(combinations(range(v), 3))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=10)) if pool else []
+    rows = [[draw(st.sampled_from(point_tokens(p))) for p in draw(st.permutations(blk))]
+            for blk in linear_subset(picks)]
+    fault = draw(st.sampled_from(["none", "short", "long", "word", "decimal", "negative"]))
+    if rows and fault != "none":
+        row = draw(st.sampled_from(rows))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append(draw(st.sampled_from(["0", "7", "x"])))
+        else:
+            row[draw(st.integers(0, 2))] = {"word": "x", "decimal": "2.5", "negative": "-1"}[fault]
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    gap = st.sampled_from([" ", "  ", "\t", " \t"])
+    lines = [draw(pad) + f"v={v}" + draw(pad)]
+    lines += [draw(pad) + draw(gap).join(row) + draw(pad) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        filler = draw(st.sampled_from(["", "  ", "\t", "# a note", "  # ppc: 0 1 2", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(design_texts())
+@example("\r\n# c\r\n\tv=7 \r\n 0\t+1  0_2\r\n\r\n3 4 5\r\n")
+@example("v=11\n1_0 +3 -0\n")
+@example("v=7\n0 1\n0 1 2 3\n")
+@example("v=7\n0 1 2.5\n0 1\n")
+@example("v=7\n0 -1 2\n")
+def test_deserialize_matches_the_line_by_line_reference(text):
+    assert outcome(pf.deserialize, text) == outcome(reference_deserialize, text)
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error():
+    depth = 100_000
+    with pytest.raises(pf.ParseError, match="^bad JSON design: ") as err:
+        pf.deserialize('{"v": 7, "blocks": ' + "[" * depth + "]" * depth + "}")
+    assert type(err.value.__cause__) is RecursionError
 
 
 # each search with a best-so-far to report, the run that takes ``budget``
