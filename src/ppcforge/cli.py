@@ -37,9 +37,9 @@ from .sequence import (
 )
 
 def _read(path: str) -> str:
-    """The file as UTF-8 text with CRLF and CR line ends made LF, as a
-    text-mode ``open`` reads it (JSON error positions count characters),
-    without the cost of its text layer."""
+    """The file as UTF-8 text less one leading byte-order mark, with CRLF
+    and CR line ends made LF, as a text-mode ``open`` reads it (JSON error
+    positions count characters), without the cost of its text layer."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -47,6 +47,7 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         where = f"{exc.reason} at byte {exc.start}"
         raise ToolkitError(f"{path}: not UTF-8 text ({where})") from None
+    text = text.removeprefix("\ufeff")  # not utf-8-sig: its error offsets skip the mark
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

@@ -6,7 +6,8 @@ A Room square of side n (n odd) on the ell = n+1 symbols 0..n is an n x n
 grid whose cells are empty or hold an edge, such that every edge of K_ell
 appears exactly once and every row and every column covers all ell symbols,
 i.e. forms a one-factor.  Room squares of side n exist for every odd n >= 7;
-none exist for sides 3 and 5.
+none exist for sides 3 and 5.  A bad square is one ``RoomValidationError``
+from ``validate_room``, whose message names the first failed condition.
 
 ``room_square`` builds and validates every odd side from 7 to 51; it
 searches nothing, so a square depends only on its side.  Side 9 is a
@@ -39,23 +40,9 @@ Factor = Tuple[Edge, ...]
 
 
 class RoomValidationError(ToolkitError):
-    """A bad side or a grid not side x side; base of the four condition failures."""
-
-
-class CellNotEdge(RoomValidationError):
-    pass
-
-
-class EdgeMissingOrDoubled(RoomValidationError):
-    pass
-
-
-class RowNotOneFactor(RoomValidationError):
-    pass
-
-
-class ColNotOneFactor(RoomValidationError):
-    pass
+    """A grid that is not a Room square.  The message names what failed:
+    the side, the shape, a cell that is not an edge, an edge doubled or
+    missing, or the first row or column that is not a one-factor."""
 
 
 class RoomSquare(NamedTuple):
@@ -282,15 +269,16 @@ def room_square(side: int) -> RoomSquare:
 
 
 def validate_room(square: RoomSquare) -> None:
-    """Check that the side is an odd int >= 1 and the grid side x side
-    (``RoomValidationError`` itself if not), then the four Room square
-    conditions in order: cells hold edges, every edge of K_{side+1} appears
-    exactly once, rows and then columns are one-factors.  Raises the error
-    for the first violation.  One pass over the cells marks each edge {a, b}
-    at code a*(side+1)+b in a flat byte array and ORs its symbol bits into
-    masks for its row and column.  Once every edge appears once, the side
-    rows hold side*(side+1)/2 cells, so full masks in every row leave each
-    row (side+1)/2 cells, and so for columns: a line is checked by its mask
+    """Check that the side is an odd int >= 1 and the grid side x side,
+    then the four Room square conditions in order: cells hold edges, every
+    edge of K_{side+1} appears exactly once, rows and then columns are
+    one-factors.  Raises ``RoomValidationError`` for the first violation,
+    its message naming the side, the shape, the cell, the edge, or the row
+    or column.  One pass over the cells marks each edge {a, b} at code
+    a*(side+1)+b in a flat byte array and ORs its symbol bits into masks
+    for its row and column.  Once every edge appears once, the side rows
+    hold side*(side+1)/2 cells, so full masks in every row leave each row
+    (side+1)/2 cells, and so for columns: a line is checked by its mask
     alone, and cells are counted only to name the first failing line."""
     n = square.side
     if type(n) is not int or n < 1 or n % 2 == 0:  # type(): bool subclasses int
@@ -316,7 +304,7 @@ def validate_room(square: RoomSquare) -> None:
             except ValueError:
                 a = b = None
             if type(a) is not int or type(b) is not int or not 0 <= a < b <= n:
-                raise CellNotEdge(
+                raise RoomValidationError(
                     f"cell ({r + 1},{c + 1}) holds {cell!r}, not an edge on 0..{n}"
                 )
             code = a * sym + b
@@ -324,7 +312,7 @@ def validate_room(square: RoomSquare) -> None:
                 r0, c0 = next((r0, c0) for r0, row0 in enumerate(grid)
                               for c0, cell0 in enumerate(row0)
                               if cell0 is not None and tuple(cell0) == (a, b))
-                raise EdgeMissingOrDoubled(
+                raise RoomValidationError(
                     f"edge {a}-{b} appears at cells ({r0 + 1}, {c0 + 1}) and ({r + 1},{c + 1})"
                 )
             seen[code] = 1
@@ -334,13 +322,12 @@ def validate_room(square: RoomSquare) -> None:
         row_masks.append(mask)
     missing = n * sym // 2 - seen.count(1)
     if missing:
-        raise EdgeMissingOrDoubled(f"{missing} edges of K_{sym} never appear")
-    for masks, lines, error, kind in ((row_masks, grid, RowNotOneFactor, "row"),
-                                      (col_masks, zip(*grid), ColNotOneFactor, "column")):
+        raise RoomValidationError(f"{missing} edges of K_{sym} never appear")
+    for masks, lines, kind in ((row_masks, grid, "row"), (col_masks, zip(*grid), "column")):
         if masks.count(full) < n:  # cells are counted only to name the first bad line
             bad = next(i for i, (mask, line) in enumerate(zip(masks, lines))
                        if mask != full or sum(cell is not None for cell in line) != sym // 2)
-            raise error(f"{kind} {bad + 1} does not cover 0..{n} exactly once")
+            raise RoomValidationError(f"{kind} {bad + 1} does not cover 0..{n} exactly once")
 
 
 def room_to_text(square: RoomSquare) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -255,6 +256,9 @@ def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
     assert "Traceback" not in stdout + stderr
 
 
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-ppc", "BAD"],
     ["verify", "BAD"],
@@ -263,14 +267,16 @@ def test_malformed_input_gets_one_message_line(tmp_path, capsys, argv, text):
     ["sequence", "check", "DESIGN", "BAD"],
 ])
 def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, argv):
+    # behind a byte-order mark the bad byte is still named at its file offset
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"v=7\n0 1 \xff\n")
     seq = tmp_path / "seq.txt"
     seq.write_text(pf.sequencing_to_text(11, list(range(11))))
     files = {"BAD": str(bad), "SEQ": str(seq), "DESIGN": str(DATA / "psts11.txt")}
-    rc, stdout, stderr = run(capsys, *(files.get(a, a) for a in argv))
-    assert (rc, stdout) == (1, "")
-    assert stderr == f"error: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
+    for mark, offset in ((b"", 8), (BOM, 11)):
+        bad.write_bytes(mark + b"v=7\n0 1 \xff\n")
+        rc, stdout, stderr = run(capsys, *(files.get(a, a) for a in argv))
+        assert (rc, stdout) == (1, "")
+        assert stderr == f"error: {bad}: not UTF-8 text (invalid start byte at byte {offset})\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -287,6 +293,44 @@ def test_crlf_and_cr_files_read_as_their_lf_twin(tmp_path, capsys, cmd, text):
         rc, stdout, stderr = run(capsys, cmd, str(path))
         answers.append((rc, stdout, re.sub(r"time: \S+", "", stderr)))
     assert answers[1] == answers[2] == answers[0]
+
+
+@pytest.mark.parametrize("argv,marked", [
+    (["verify", "DESIGN"], "DESIGN"),
+    (["verify", "JSON"], "JSON"),
+    (["solve-ppc", "DESIGN"], "DESIGN"),
+    (["sequence", "find", "DESIGN"], "DESIGN"),
+    (["sequence", "check", "DESIGN", "SEQ"], "DESIGN"),
+    (["sequence", "check", "DESIGN", "SEQ"], "SEQ"),
+], ids=["verify-text", "verify-json", "solve-ppc", "sequence-find", "sequence-check-design",
+        "sequence-check-perm"])
+def test_a_byte_order_mark_reads_as_its_plain_twin(tmp_path, capsys, argv, marked):
+    design = (DATA / "psts11.txt").read_text()
+    plain = {
+        "DESIGN": design.encode(),
+        "JSON": json.dumps({"v": 11, "blocks": pf.deserialize(design).blocks}).encode(),
+        "SEQ": pf.sequencing_to_text(11, list(range(11))).encode(),
+    }
+    answers = []
+    for data in (plain[marked], BOM + plain[marked]):
+        files = {**plain, marked: data}
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        rc, stdout, stderr = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+        answers.append((rc, stdout, re.sub(r"time: \S+", "", stderr)))
+    assert answers[0][1] and answers[1] == answers[0]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("\ufeff\ufeffv=7\n0 1 2\n", "line 1: expected 'v=<int>' header"),
+    ("\n\ufeffv=7\n0 1 2\n", "line 2: expected 'v=<int>' header"),
+    ("v=7\n\ufeff0 1 2\n", "line 2: non-integer point in '\\ufeff0 1 2'"),
+    ("v=7\n0 1 2\ufeff\n", "line 2: non-integer point in '0 1 2\\ufeff'"),
+], ids=["second-mark", "mark-on-line-2", "mark-before-a-block", "mark-after-a-block"])
+def test_a_feff_past_the_first_character_is_not_dropped(tmp_path, capsys, text, message):
+    path = tmp_path / "design.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (2, f"invalid: {message}\n", "")
 
 
 def test_table1_is_the_bounds_shorthand(capsys):
