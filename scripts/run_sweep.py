@@ -55,7 +55,7 @@ def main() -> int:
               f"{witness.design.b:>4} {solved.size:>6} {solved.nodes:>8} "
               f"{dt:>7.3f}s{mark}")
     total = time.perf_counter() - t_all
-    print(f"\n{failures} failures, {total:.1f}s total")
+    print(f"\n{failures} failures, {total * 1000:.1f} ms total")
     return 1 if failures else 0
 
 

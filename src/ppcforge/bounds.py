@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, NamedTuple, Optional
 
-from .core import ToolkitError
+from .core import OutOfRange, ToolkitError
 
 
 def packing_number(v: int) -> int:
@@ -115,7 +115,13 @@ def bound_table(
 
     With ``with_known`` the known exact values overwrite both bound fields
     (an exact value is simultaneously the best lower and upper bound).
+    A v that is not an int >= 1 raises ``OutOfRange`` as ``validate`` does,
+    and a rho_max that is neither an int nor None raises ``ToolkitError``.
     """
+    if type(v) is not int or v < 1:  # type(): bool subclasses int
+        raise OutOfRange(f"point count must be a positive integer, got {v!r}")
+    if rho_max is not None and type(rho_max) is not int:
+        raise ToolkitError(f"rho_max must be an int or None, got {rho_max!r}")
     top = v // 3
     rho_max = top if rho_max is None else min(rho_max, top)
     rows = []
@@ -128,10 +134,10 @@ def bound_table(
 
 
 def format_table(rows: List[BoundRecord], style: str = "text") -> str:
-    """Render rows: ``text`` is an aligned human table, ``rows`` is one
-    comma-separated record per line (rho,D,lower,upper,exact?,sources).  A
-    bound field is tagged ``known-special`` where the exact value differs
-    from the formula, and ``generic-theorem`` otherwise."""
+    """Render rows: ``text`` is an aligned human table, and ``rows`` prints
+    ``rho,D,lower,upper,exact,lower=<tag>;upper=<tag>`` per row, ``exact``
+    empty unless overlaid.  A bound's tag is ``known-special`` where the
+    exact value differs from its formula, else ``generic-theorem``."""
     if style == "rows":
         lines = []
         for r in rows:

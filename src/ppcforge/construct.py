@@ -8,11 +8,14 @@ has size exactly rho: the blocks holding e_1..e_rho are disjoint, and every
 block meets the apex set S, so no rho+1 disjoint blocks exist.  Each
 builder in ``FACTOR_JOINS`` (pure, packed and trimmed, by the CLI's variant
 names) returns that class and S with the design, for ``ppc.certify`` to
-check in O(b).  ``construct_bose`` and ``max_packing`` build classical
+check in O(b).  A join's ingredients, ``select_factors(ell, rho)`` and
+``max_packing(rho)``, are each built once per process and shared by the
+joins that use them.  ``construct_bose`` and ``max_packing`` build classical
 designs in closed form, and ``check_sts27_triples`` checks the stored
 witness of a PPC of size 8 in an STS(27) with no parallel class.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -236,9 +239,15 @@ def max_packing(rho: int) -> Design:
       rho = 4.
 
     No PSTS(rho) has more than D(rho) blocks, so the result is maximum.
+    Each rho is built and validated once per process and then shared.
     """
     if type(rho) is not int or rho < 1:
         raise OutOfRange(f"need rho >= 1, got {rho!r}")
+    return _max_packing(rho)
+
+
+@lru_cache(maxsize=256)  # reached only with an int rho that max_packing checked
+def _max_packing(rho: int) -> Design:
     design = validate(rho, _packing(rho))
     assert design.b == packing_number(rho)
     return design

@@ -25,9 +25,10 @@ the rule.  For 8 <= ell <= 52 the factors are rows of a Room square of
 side ell-1 and the representatives their first-column cells, independent
 since that column is itself a one-factor.  ``room_square`` and the
 selection read one cached grid per side, ``_grid``; a selection does not
-validate it, since ``construct`` checks what it builds from the rows.  No
-selection exists for (ell, rho) = (4, 2): disjoint edges of K_4 share a
-one-factor.
+validate it, since ``construct`` checks what it builds from the rows.
+Each selection is built once per process and shared by every factor join
+of its (ell, rho).  No selection exists for (ell, rho) = (4, 2): disjoint
+edges of K_4 share a one-factor.
 """
 
 from functools import lru_cache
@@ -384,6 +385,7 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
 
     The relabelling puts the reps first in block order, so first-fit over
     the sorted blocks of a factor join takes exactly the witness class.
+    Each (ell, rho) is built once per process and then shared.
     """
     if type(ell) is not int or ell < 2 or ell % 2:  # type(): bool subclasses int
         raise ToolkitError(f"need an even order >= 2, got {ell!r}")
@@ -391,6 +393,11 @@ def select_factors(ell: int, rho: int) -> FactorSelection:
         raise ToolkitError(f"need 1 <= rho <= ell/2, got rho={rho!r}, ell={ell}")
     if (ell, rho) == (4, 2):
         raise ToolkitError("two vertex-disjoint edges of K_4 lie in one one-factor")
+    return _selection(ell, rho)
+
+
+@lru_cache(maxsize=256)  # reached only with the ints that select_factors checked
+def _selection(ell: int, rho: int) -> FactorSelection:
     if ell <= 4:
         factor = round_robin(ell)[0]
         return FactorSelection((factor,), (factor[0],))

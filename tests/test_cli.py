@@ -354,6 +354,11 @@ def test_bounds_text_format(capsys):
     assert stdout.splitlines()[0].split() == ["rho", "D(rho)", "lower", "upper"]
 
 
+def test_bounds_refuses_a_point_count_below_1(capsys):
+    assert run(capsys, "bounds", "--v", "0") == (
+        1, "", "error: point count must be a positive integer, got 0\n")
+
+
 # stdout, stderr, exit code and --out file of the commands that route a
 # note, with and without --out; recorded before the routing moved into _emit
 _NOTE_PINS = {

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import ppcforge as pf
-from ppcforge.construct import check_sts27_triples
+from ppcforge.construct import _max_packing, check_sts27_triples
 from ppcforge.ppc import BadCertificate
 
 from conftest import raises_exactly
@@ -136,6 +136,19 @@ def test_max_packing_hits_the_packing_number(rho, expected):
 def test_max_packing_needs_rho_of_at_least_1():
     with raises_exactly("need rho >= 1, got 0", pf.OutOfRange):
         pf.max_packing(0)
+
+
+@pytest.mark.parametrize("rho", [1, 5, 6, 8, 13])  # closed forms, stored, rho+1 less a point
+def test_a_packing_is_built_once_and_shared(rho):
+    assert pf.max_packing(rho) is pf.max_packing(rho)
+    assert _max_packing.cache_parameters()["maxsize"] is not None  # rho is user input
+
+
+@pytest.mark.parametrize("rho", [True, 5.0, [5]])  # [5]: not an unhashable TypeError
+def test_a_cached_packing_keeps_the_check(rho):
+    pf.max_packing(5)
+    with raises_exactly(f"need rho >= 1, got {rho!r}", pf.OutOfRange):
+        pf.max_packing(rho)
 
 
 @pytest.mark.parametrize("rho", range(1, 101))

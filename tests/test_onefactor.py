@@ -19,6 +19,7 @@ from ppcforge.onefactor import (
     room_to_text,
     strong_starter,
     _grid,
+    _selection,
     _stored_starter,
 )
 
@@ -504,6 +505,7 @@ def test_every_square_is_the_stored_grid():
 @pytest.mark.parametrize("ell", [10, 16])  # the side-9 cells and a developed starter
 def test_a_selection_and_its_square_develop_one_grid(ell):
     _grid.cache_clear()
+    _selection.cache_clear()  # else a cached selection would not read the grid
     room_square.cache_clear()
     try:
         for rho in range(1, ell // 2 + 1):
@@ -550,6 +552,26 @@ def test_select_factors_needs_int_orders(ell, rho, message):
         pf.select_factors(ell, rho)
     with raises_exactly(message):
         pf.factor_join(rho, ell)
+
+
+# ell <= 4, ell = 6, the side-9 cells, a stored starter, the largest one and
+# rainbow orders past it
+@pytest.mark.parametrize("ell,rho", [(2, 1), (4, 1), (6, 3), (10, 2), (16, 5), (52, 26),
+                                     (54, 3), (60, 30)])
+def test_a_selection_is_built_once_and_shared(ell, rho):
+    assert pf.select_factors(ell, rho) is pf.select_factors(ell, rho)
+    assert _selection.cache_parameters()["maxsize"] is not None  # ell and rho are user input
+
+
+@pytest.mark.parametrize("ell,rho,message", [
+    (8.0, 1, "need an even order >= 2, got 8.0"),
+    (8, True, "need 1 <= rho <= ell/2, got rho=True, ell=8"),
+    ([8], 1, "need an even order >= 2, got [8]"),  # not an unhashable TypeError
+])
+def test_a_cached_selection_keeps_the_checks(ell, rho, message):
+    pf.select_factors(8, 1)
+    with raises_exactly(message):
+        pf.select_factors(ell, rho)
 
 
 def test_select_factors_needs_rho_at_most_half_ell():

@@ -75,6 +75,12 @@ def test_error_classes_are_the_kept_ones():
     (pf.beta_exact_known, (1.0, 20), pf.ToolkitError,
      "need v >= 3*rho >= 3, got rho=1.0, v=20"),
     (pf.beta_exact_known, (2, 7.0), pf.ToolkitError, "need v >= 3*rho >= 3, got rho=2, v=7.0"),
+    (pf.bound_table, (27, 2.0), pf.ToolkitError, "rho_max must be an int or None, got 2.0"),
+    (pf.bound_table, (27, True), pf.ToolkitError, "rho_max must be an int or None, got True"),
+    (pf.bound_table, ("9",), pf.OutOfRange, "point count must be a positive integer, got '9'"),
+    (pf.bound_table, (27.0,), pf.OutOfRange, "point count must be a positive integer, got 27.0"),
+    (pf.bound_table, (True,), pf.OutOfRange, "point count must be a positive integer, got True"),
+    (pf.bound_table, (0,), pf.OutOfRange, "point count must be a positive integer, got 0"),
 ])
 def test_a_non_int_order_is_refused(call, args, cls, message):
     with raises_exactly(message, cls):

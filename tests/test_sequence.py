@@ -159,12 +159,12 @@ def random_psts(rng, v, b):
     return pf.validate(v, blocks)
 
 
-def seeded_psts(seed, count):
-    """``count`` random PSTS(7..22) with b <= min(v, v(v-1)/12)."""
+def seeded_psts(seed, count, lo=7, hi=22):
+    """``count`` random PSTS(lo..hi) with b <= min(v, v(v-1)/12)."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        v = rng.randint(7, 22)
+        v = rng.randint(lo, hi)
         out.append(random_psts(rng, v, rng.randint(1, min(v, v * (v - 1) // 12))))
     return out
 
@@ -352,6 +352,23 @@ def test_flagged_random_designs_are_never_proven_nonsequenceable():
             out = pf.find_sequencing(design, budget=20_000)
             assert not out.proven_nonsequenceable, design
     assert flagged == 268
+
+
+def test_flagged_random_designs_up_to_30_points_are_sequenced():
+    # past v = 22 the search must find the sequencing that C1, C2 or C3
+    # guarantees, not only fail to refute it; sparse designs and maximal ones
+    rng = random.Random(23)
+    instances = (seeded_psts(23, 200, 23, 30)
+                 + [maximal_psts(rng, rng.randint(23, 30)) for _ in range(40)])
+    flagged = 0
+    for design in instances:
+        solved = pf.solve_max_ppc(design)
+        assert solved.optimal
+        if pf.sufficient_conditions(design, solved.size):
+            flagged += 1
+            out = pf.find_sequencing(design, budget=20_000)
+            assert out.found and pf.check_sequencing(design, out.sequencing.perm).valid, design
+    assert flagged == 43
 
 
 def test_every_grid_design_with_a_spanning_class_is_proven_at_once():
