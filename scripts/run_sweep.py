@@ -22,7 +22,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rho-max", type=int, default=5)
     ap.add_argument("--ell-max", type=int, default=24)
-    ap.add_argument("--budget", type=int, default=pf.NODE_LIMIT)
     args = ap.parse_args()
 
     print(f"{'variant':8} {'rho':>3} {'ell':>3} {'v':>3} {'b':>4} {'maxPPC':>6} "
@@ -32,7 +31,7 @@ def main() -> int:
     for kind, rho, ell in pf.sweep_grid(args.rho_max, args.ell_max):
         t0 = time.perf_counter()
         witness = pf.FACTOR_JOINS[kind](rho, ell)
-        solved = pf.solve_max_ppc(witness.design, budget=args.budget)
+        solved = pf.solve_max_ppc(witness.design)
         try:
             certified = pf.certify(witness.design, witness.witness_ppc, witness.s_points)
         except pf.ppc.BadCertificate:

@@ -124,6 +124,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     rows = bounds_mod.bound_table(args.v, args.rho_max, with_known=args.with_known)
+    if not rows:  # v below 3, or --rho-max below 1
+        raise ToolkitError(f"no rho >= 1 fits v={args.v}" + (
+            "" if args.rho_max is None else f" with --rho-max {args.rho_max}"))
     sys.stdout.write(bounds_mod.format_table(rows, style=args.format))
     return 0
 
@@ -275,8 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse uses status 2 for usage errors; 2 means verification
         # failure here, so fold usage problems into the generic error code
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 1 if code == 2 else code
+        return 1 if exc.code == 2 else exc.code
     try:
         if getattr(args, "budget", 1) < 1:
             raise ToolkitError(f"--budget must be at least 1, got {args.budget}")

@@ -17,7 +17,7 @@ witness of a PPC of size 8 in an STS(27) with no parallel class.
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .bounds import packing_number
 from .core import Block, Design, OutOfRange, ToolkitError, validate
@@ -289,17 +289,14 @@ STS27_TRIPLES: Tuple[Tuple[Vec, Vec, Vec], ...] = (
 )
 
 
-def check_sts27_triples(
-    triples: Optional[Sequence[Tuple[Vec, Vec, Vec]]] = None,
-) -> Tuple[Tuple[Vec, Vec, Vec], ...]:
-    """Verify the sum-zero condition and disjointness of the stored triples.
+def check_sts27_triples() -> Tuple[Tuple[Vec, Vec, Vec], ...]:
+    """Verify the sum-zero condition and disjointness of ``STS27_TRIPLES``.
 
     Each triple must sum to (0,0) componentwise mod 5, and no point may
     appear twice across (or within) triples.  Returns the checked triples.
     """
-    checked = tuple(triples) if triples is not None else STS27_TRIPLES
     seen = set()
-    for tri in checked:
+    for tri in STS27_TRIPLES:
         sx = sum(p[0] for p in tri) % 5
         sy = sum(p[1] for p in tri) % 5
         if (sx, sy) != (0, 0):
@@ -311,4 +308,4 @@ def check_sts27_triples(
             if p in seen:
                 raise ToolkitError(f"point {p[0]}{p[1]} appears in two triples")
             seen.add(p)
-    return checked
+    return STS27_TRIPLES

@@ -155,10 +155,9 @@ def solve_max_ppc(design: Design, budget: int = NODE_LIMIT) -> PpcResult:
                     x, fewest = p, deg
         if len(chosen) + len(alive) // 3 <= best_size:
             return
-        if x < 0:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = [blocks[i] for i in chosen]
+        if x < 0:  # no free point: the bound above returned unless chosen beats best
+            best_size = len(chosen)
+            best = [blocks[i] for i in chosen]
             return
         scan = through[x] & usable
         while scan:

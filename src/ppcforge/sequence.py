@@ -167,9 +167,10 @@ def find_sequencing(design: Design, budget: int = NODE_LIMIT) -> SearchOutcome:
     window whose False verdict was not kept (no block inside it through its
     lowest point) is re-derived by one scan of that point's blocks.
     ``budget`` defaults to ``NODE_LIMIT``, the node limit of every
-    search; a search that runs out of it finds and proves nothing.  Raises
-    ``SearchTooDeep`` when the search nests deeper than the interpreter's
-    recursion limit.
+    search; a search that runs out of it finds and proves nothing.  The
+    spanning-class check at the root counts no nodes, so ``budget`` does
+    not bound its time.  Raises ``SearchTooDeep`` when the search nests
+    deeper than the interpreter's recursion limit.
     """
     v = design.v
     oracle = _WindowOracle(design)

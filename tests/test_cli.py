@@ -359,6 +359,17 @@ def test_bounds_refuses_a_point_count_below_1(capsys):
         1, "", "error: point count must be a positive integer, got 0\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "rows"])
+@pytest.mark.parametrize("argv, message", [
+    (("--v", "2"), "no rho >= 1 fits v=2"),
+    (("--v", "27", "--rho-max", "0"), "no rho >= 1 fits v=27 with --rho-max 0"),
+    (("--v", "27", "--rho-max", "-1"), "no rho >= 1 fits v=27 with --rho-max -1"),
+])
+def test_bounds_refuses_a_table_with_no_row(capsys, argv, message, fmt):
+    assert run(capsys, "bounds", *argv, "--format", fmt) == (1, "", f"error: {message}\n")
+    assert pf.bound_table(*map(int, argv[1::2])) == []
+
+
 # stdout, stderr, exit code and --out file of the commands that route a
 # note, with and without --out; recorded before the routing moved into _emit
 _NOTE_PINS = {
@@ -609,6 +620,12 @@ def test_check_sts27(capsys):
     rc, stdout, _ = run(capsys, "check-sts27")
     assert rc == 0
     assert stdout == "ok: 8 sum-zero triples, 24 distinct points\n"
+
+
+def test_check_sts27_refuses_a_triple_that_does_not_sum_to_zero(capsys, monkeypatch):
+    monkeypatch.setattr("ppcforge.construct.STS27_TRIPLES", (((1, 0), (1, 1), (3, 3)),))
+    assert run(capsys, "check-sts27") == (
+        2, "invalid: triple {10,11,33} sums to (0,4), not (0,0)\n", "")
 
 
 def test_usage_errors_exit_one(capsys):

@@ -233,24 +233,27 @@ def test_sts27_triples_pass():
     assert len({p for tri in triples for p in tri}) == 24
 
 
-def test_sts27_single_triple_sum():
+def test_sts27_single_triple_sum(monkeypatch):
     tri = (((1, 0), (1, 1), (3, 4)),)
-    assert check_sts27_triples(tri) == tri
+    monkeypatch.setattr("ppcforge.construct.STS27_TRIPLES", tri)
+    assert check_sts27_triples() == tri
 
 
-def test_sts27_mutation_breaks_sum():
+def test_sts27_mutation_breaks_sum(monkeypatch):
+    monkeypatch.setattr("ppcforge.construct.STS27_TRIPLES", (((1, 0), (1, 1), (3, 3)),))
     with raises_exactly("triple {10,11,33} sums to (0,4), not (0,0)"):
-        check_sts27_triples((((1, 0), (1, 1), (3, 3)),))
+        check_sts27_triples()
 
 
-def test_sts27_point_outside_the_grid():
+def test_sts27_point_outside_the_grid(monkeypatch):
     # (5,0) sums like (0,0) but lies outside Z_5 x Z_5
+    monkeypatch.setattr("ppcforge.construct.STS27_TRIPLES", [((5, 0), (0, 1), (0, 4))])
     with raises_exactly("point (5, 0) is outside Z_5 x Z_5", pf.OutOfRange):
-        check_sts27_triples([((5, 0), (0, 1), (0, 4))])
+        check_sts27_triples()
 
 
-def test_sts27_repeat_breaks_disjointness():
+def test_sts27_repeat_breaks_disjointness(monkeypatch):
+    monkeypatch.setattr("ppcforge.construct.STS27_TRIPLES",
+                        (((1, 0), (1, 1), (3, 4)), ((1, 0), (2, 2), (2, 3))))
     with raises_exactly("point 10 appears in two triples"):
-        check_sts27_triples(
-            (((1, 0), (1, 1), (3, 4)), ((1, 0), (2, 2), (2, 3)))
-        )
+        check_sts27_triples()

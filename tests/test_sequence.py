@@ -328,14 +328,16 @@ def test_guarantee_flags():
 
 
 def test_every_flagged_grid_design_is_sequenced():
-    flagged = 0
-    for variant, rho, ell in pf.sweep_grid():
-        d = pf.FACTOR_JOINS[variant](rho, ell).design
-        if pf.sufficient_conditions(d, rho):
-            flagged += 1
-            out = pf.find_sequencing(d)
-            assert out.found and not out.proven_nonsequenceable, (variant, rho, ell)
-    assert flagged == 90
+    # the acceptance grid, then the held-out grid of the CI sweep
+    for grid, expected in ((pf.sweep_grid(), 90), (pf.sweep_grid(8, 40), 162)):
+        flagged = 0
+        for variant, rho, ell in grid:
+            d = pf.FACTOR_JOINS[variant](rho, ell).design
+            if pf.sufficient_conditions(d, rho):
+                flagged += 1
+                out = pf.find_sequencing(d)
+                assert out.found and not out.proven_nonsequenceable, (variant, rho, ell)
+        assert flagged == expected
 
 
 def test_flagged_random_designs_are_never_proven_nonsequenceable():
