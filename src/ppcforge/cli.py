@@ -25,7 +25,7 @@ from typing import List, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import construct as construct_mod
-from .core import NODE_LIMIT, Design, ToolkitError, deserialize, read_ppc_comments, serialize
+from .core import NODE_LIMIT, ToolkitError, deserialize, read_ppc_comments, serialize, validate
 from .onefactor import room_square, room_to_text
 from .oracle import brute_beta
 from .ppc import BadCertificate, certify, class_points, solve_max_ppc
@@ -62,10 +62,6 @@ def _emit(text: str, out: Optional[str]) -> TextIO:
     return sys.stderr
 
 
-def _load_design(path: str) -> Design:
-    return deserialize(_read(path))
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     rho, v = args.rho, args.v
     variant = args.variant
@@ -91,7 +87,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    design = _load_design(args.file)
+    design = deserialize(_read(args.file))
     t0 = time.perf_counter()
     result = solve_max_ppc(design, budget=args.budget)
     elapsed = time.perf_counter() - t0
@@ -107,18 +103,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         design = deserialize(text)
         comments = read_ppc_comments(text)
+        class_points(design, comments)
+    except BadCertificate as exc:
+        print(f"invalid: claimed {exc}")
+        return 2
     except ToolkitError as exc:
         print(f"invalid: {exc}")
         return 2
-    if comments:
-        try:
-            class_points(design, comments)
-        except BadCertificate as exc:
-            print(f"invalid: claimed {exc}")
-            return 2
-        print(f"ok: v={design.v} b={design.b}, embedded class of {len(comments)} disjoint blocks")
-    else:
-        print(f"ok: v={design.v} b={design.b}")
+    suffix = f", embedded class of {len(comments)} disjoint blocks" if comments else ""
+    print(f"ok: v={design.v} b={design.b}{suffix}")
     return 0
 
 
@@ -132,7 +125,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence_find(args: argparse.Namespace) -> int:
-    design = _load_design(args.file)
+    design = deserialize(_read(args.file))
     outcome = find_sequencing(design, budget=args.budget)
     if outcome.found:
         note = _emit(sequencing_to_text(design.v, outcome.sequencing.perm), args.out)
@@ -148,7 +141,7 @@ def _cmd_sequence_find(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence_check(args: argparse.Namespace) -> int:
-    design = _load_design(args.file)
+    design = deserialize(_read(args.file))
     v, perm = sequencing_from_text(_read(args.perm))
     if v != design.v:
         raise ToolkitError(f"permutation file says v={v}, design has v={design.v}")
@@ -176,7 +169,7 @@ def _cmd_oracle_beta(args: argparse.Namespace) -> int:
     print(f"beta({args.rho},{args.v}) = {result.value}")
     if result.witness:
         print("witness:")
-        sys.stdout.write(serialize(Design(args.v, tuple(sorted(result.witness)))))
+        sys.stdout.write(serialize(validate(args.v, result.witness)))
     return 0
 
 

@@ -11,8 +11,8 @@ names) returns that class and S with the design, for ``ppc.certify`` to
 check in O(b).  A join's ingredients, ``select_factors(ell, rho)`` and
 ``max_packing(rho)``, are each built once per process and shared by the
 joins that use them.  ``construct_bose`` and ``max_packing`` build classical
-designs in closed form, and ``check_sts27_triples`` checks the stored
-witness of a PPC of size 8 in an STS(27) with no parallel class.
+designs in closed form.  ``check_sts27_triples`` checks 8 stored disjoint
+sum-zero triples over Z_5 x Z_5, not a design (see ROADMAP item 12).
 """
 
 from functools import lru_cache
@@ -274,9 +274,8 @@ def psts7_fixture() -> Design:
     return validate(7, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 6), (2, 5, 6)])
 
 
-# Eight triples over Z_5 x Z_5, each summing to (0,0), pairwise disjoint:
-# together they cover all 24 nonzero points, witnessing a PPC of size 8 in
-# an STS(27) (on Z_5 x Z_5 plus two extra points) with no parallel class.
+# Eight pairwise disjoint triples over Z_5 x Z_5, each summing to (0,0),
+# that cover the 24 nonzero points; no design holding them is stored.
 STS27_TRIPLES: Tuple[Tuple[Vec, Vec, Vec], ...] = (
     ((1, 0), (1, 1), (3, 4)),
     ((2, 0), (2, 2), (1, 3)),

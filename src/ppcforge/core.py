@@ -153,13 +153,14 @@ def serialize(design: Design, ppc: Optional[Sequence[Block]] = None) -> str:
 
     Layout: a ``v=<int>`` header, optional ``# ppc: a b c`` comment lines
     carrying a known partial parallel class, then one block per line as three
-    ascending space-separated integers in lexicographic order.
+    ascending space-separated integers in lexicographic order.  The class
+    passes ``validate`` first, so its readers take every line written, and
+    its lines keep the caller's order.
     """
     lines = [f"v={design.v}"]
     if ppc:
-        for blk in ppc:
-            a, b, c = sorted(blk)
-            lines.append(f"# ppc: {a} {b} {c}")
+        validate(design.v, ppc)
+        lines += [f"# ppc: {a} {b} {c}" for a, b, c in map(sorted, ppc)]
     for a, b, c in design.blocks:
         lines.append(f"{a} {b} {c}")
     return "\n".join(lines) + "\n"

@@ -257,8 +257,14 @@ def sufficient_conditions(design: Design, rho: int) -> set:
     C2: v >= 15*rho - 5.  C3: v >= 9*rho + 22*rho^(2/3) + 10,
     evaluated exactly: with m = v - 9*rho - 10, the condition is m >= 0 and
     m^3 >= 22^3 * rho^2 (cubing avoids any floating-point root).
+
+    Raises ``ToolkitError`` unless rho is an int, not a bool, that the
+    design's maximum PPC can have: 1..v//3, or 0 too if it has no block.
     """
     v = design.v
+    low = int(design.b > 0)
+    if type(rho) is not int or not low <= rho <= v // 3:
+        raise ToolkitError(f"rho={rho!r} is not an int in {low}..{v // 3} for a PSTS({v})")
     out = set()
     if rho <= 3 and v > 3 * rho:
         out.add("C1")

@@ -203,26 +203,30 @@ def test_verify_without_a_class(tmp_path, capsys):
     assert run(capsys, "verify", str(path)) == (0, "ok: v=7 b=1\n", "")
 
 
+def test_verify_a_json_design(tmp_path, capsys):
+    path = tmp_path / "fano.json"
+    path.write_text(json.dumps({"v": 7, "blocks": fano_union(1).blocks}))
+    assert run(capsys, "verify", str(path)) == (0, "ok: v=7 b=7\n", "")
+
+
 def test_verify_rejects_pair_reuse(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("v=5\n0 1 2\n0 1 3\n")
-    rc, stdout, _ = run(capsys, "verify", str(bad))
-    assert rc == 2
-    assert stdout.startswith("invalid:")
+    assert run(capsys, "verify", str(bad)) == (
+        2, "invalid: pair (0, 1) appears in both (0, 1, 2) and (0, 1, 3)\n", "")
 
 
 def test_verify_rejects_foreign_class_block(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("v=7\n# ppc: 0 1 3\n0 1 2\n3 4 5\n")
-    rc, stdout, _ = run(capsys, "verify", str(bad))
-    assert rc == 2 and "not in the design" in stdout
+    assert run(capsys, "verify", str(bad)) == (
+        2, "invalid: claimed class block (0, 1, 3) is not in the design\n", "")
 
 
 def test_verify_rejects_overlapping_class(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("v=7\n# ppc: 0 1 2\n# ppc: 0 3 6\n0 1 2\n0 3 6\n")
-    rc, stdout, _ = run(capsys, "verify", str(bad))
-    assert rc == 2 and "reuses point 0" in stdout
+    assert run(capsys, "verify", str(bad)) == (2, "invalid: claimed class reuses point 0\n", "")
 
 
 _JSON_BAD = (

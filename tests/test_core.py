@@ -120,6 +120,27 @@ def test_serialize_round_trip(psts7):
     assert pf.deserialize(pf.serialize(psts7)) == psts7
 
 
+@pytest.mark.parametrize("ppc,cls,message", [
+    ([("a", "b", "c")], pf.ParseError, "block ('a', 'b', 'c') has a non-integer point"),
+    ([(0, 1, 2.5)], pf.ParseError, "block (0, 1, 2.5) has a non-integer point"),
+    ([(9, 10, 11)], pf.OutOfRange, "block (9, 10, 11) is outside points 0..6"),
+    ([(0, 1)], pf.ParseError, "block (0, 1) does not have exactly 3 points"),
+    ([True], pf.ParseError, "block True is not a sequence of points"),
+], ids=["strings", "float", "outside", "two-points", "bool"])
+def test_serialize_refuses_a_class_its_readers_would_refuse(psts7, ppc, cls, message):
+    # the error validate gives for the class, raised before any line is written
+    with raises_exactly(message, cls):
+        pf.validate(psts7.v, ppc)
+    with raises_exactly(message, cls):
+        pf.serialize(psts7, ppc=ppc)
+
+
+def test_serialize_keeps_the_class_order(psts7):
+    text = pf.serialize(psts7, ppc=[(3, 4, 5), (2, 1, 0)])
+    assert text.splitlines()[:3] == ["v=7", "# ppc: 3 4 5", "# ppc: 0 1 2"]
+    assert read_ppc_comments(text) == ((3, 4, 5), (0, 1, 2))
+
+
 def test_deserialize_out_of_range():
     with pytest.raises(pf.OutOfRange):
         pf.deserialize("v=4\n0 1 5\n")

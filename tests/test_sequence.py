@@ -321,10 +321,25 @@ def test_guarantee_flags():
         (1, 41, {"C1", "C2", "C3"}),
         (3, 9, set()),
         (1, 3, set()),
+        (0, 7, {"C1", "C2"}),  # rho = 0 fits a design with no block
     ]
     for rho, v, expected in table:
         d = pf.Design(v, ())
         assert pf.sufficient_conditions(d, rho) == expected, (rho, v)
+
+
+@pytest.mark.parametrize("design,rho,message", [
+    # the spanning class proves this design nonsequenceable, so no guarantee may hold
+    (psts3(), 0, "rho=0 is not an int in 1..1 for a PSTS(3)"),
+    (psts3(), -1, "rho=-1 is not an int in 1..1 for a PSTS(3)"),
+    (psts3(), 2, "rho=2 is not an int in 1..1 for a PSTS(3)"),
+    (pf.psts7_fixture(), 1.5, "rho=1.5 is not an int in 1..2 for a PSTS(7)"),
+    (pf.psts7_fixture(), True, "rho=True is not an int in 1..2 for a PSTS(7)"),
+    (pf.Design(7, ()), -1, "rho=-1 is not an int in 0..2 for a PSTS(7)"),
+], ids=["zero", "negative", "past-v-over-3", "float", "bool", "negative-no-blocks"])
+def test_guarantees_refuse_a_rho_no_design_has(design, rho, message):
+    with raises_exactly(message):
+        pf.sufficient_conditions(design, rho)
 
 
 def test_every_flagged_grid_design_is_sequenced():
